@@ -2,9 +2,10 @@
 
 The package is organized around one exact quantity, the weighted gcd-class
 pair count f_q(n), computed either by definition (f_direct) or through a
-totient identity in O(n/q) time (f_fast).  Segment counts, line counts, and
-the number of linear threshold dichotomies all derive from f by exact
-integer arithmetic.  Independent brute-force oracles cover small grids, and
+totient identity in O(n/q) time (f_fast), which reads three weighted
+totient moments from one exact kernel (totient_moments).  Segment counts,
+line counts, and the number of linear threshold dichotomies all derive from
+f by exact integer arithmetic.  Independent brute-force oracles cover small grids, and
 the asympt module compares exact values against their n^4 main terms.
 """
 
@@ -32,11 +33,13 @@ from .counts import (
     decompose_lemma,
     f_direct,
     f_fast,
+    f_from_moments,
     lines_at_least,
     lines_exactly,
     segments_count,
     table_limit_for,
     threshold_count,
+    totient_moments,
 )
 from .errors import ResourceLimitError
 from .oracle import (
@@ -92,6 +95,7 @@ __all__ = [
     "e_r",
     "f_direct",
     "f_fast",
+    "f_from_moments",
     "fit_log_exponent",
     "iter_error_terms",
     "lines_at_least",
@@ -110,4 +114,5 @@ __all__ = [
     "summatory_phi",
     "table_limit_for",
     "threshold_count",
+    "totient_moments",
 ]

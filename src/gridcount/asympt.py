@@ -12,13 +12,12 @@ diagnostic for finite data.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counts import GridQuery, f_fast
+from .counts import GridQuery, f_fast, f_from_moments, totient_moments
 from .totient import PI_SQUARED, TotientTable
 
 RH_EXPONENT = 2.5
@@ -100,14 +99,12 @@ def scan_residuals(
     n_values: Iterable[int],
     table: TotientTable,
     norm_exponent: float = 4.0,
-    threads: int = 1,
 ) -> list[ScanRow]:
     """Residual rows for each n in an increasing sequence.
 
     ``normalized`` is |residual| / n^norm_exponent, handy for eyeballing
-    decay against the main-term order.  Row order always follows n_values;
-    with threads > 1 the rows are computed concurrently but returned in the
-    same order, so output is independent of the thread count.
+    decay against the main-term order.  Row order follows n_values, and all
+    exact counts come from one forward pass of totient_moments.
     """
     ns = list(n_values)
     if not ns:
@@ -116,29 +113,23 @@ def scan_residuals(
         raise ValueError(f"grid sides must be >= 1, got {ns[0]}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
-    needed = (ns[-1] - 1) // q
-    if table.limit < needed:
-        raise ValueError(
-            f"totient table limit {table.limit} too small, need at least {needed}"
-        )
-
-    def row(n: int) -> ScanRow:
-        exact = f_fast(GridQuery(n, q), table)
+    GridQuery(ns[-1], q)  # validates q and the largest n
+    rows = []
+    for n, moments in zip(ns, totient_moments(table, [(n - 1) // q for n in ns])):
+        exact = f_from_moments(n, q, moments)
         main = main_term_f(n, q)
         res = exact - main
-        return ScanRow(
-            n=n,
-            q=q,
-            exact=exact,
-            main=main,
-            residual=res,
-            normalized=abs(res) / float(n) ** norm_exponent,
+        rows.append(
+            ScanRow(
+                n=n,
+                q=q,
+                exact=exact,
+                main=main,
+                residual=res,
+                normalized=abs(res) / float(n) ** norm_exponent,
+            )
         )
-
-    if threads <= 1:
-        return [row(n) for n in ns]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(row, ns))
+    return rows
 
 
 def fit_log_exponent(rows: Sequence[ScanRow]) -> SlopeFit:

@@ -177,7 +177,9 @@ def check_partial_summation(a: Sequence[float], b: Sequence[float]) -> bool:
 
     Compares sum a_i b_i against A_N b_N - sum_{i<N} A_i (b_{i+1} - b_i)
     with A_i the prefix sums of a.  True when the two sides agree to 1e-12
-    relative to the term-magnitude scale.
+    relative to the term-magnitude scale of either side; the right side's
+    scale uses prefix sums of |a|, since its terms can cancel where the
+    left side's are all zero.
     """
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
@@ -192,5 +194,9 @@ def check_partial_summation(a: Sequence[float], b: Sequence[float]) -> bool:
     rhs = prefix[-1] * bv[-1] - math.fsum(
         prefix[i] * (bv[i + 1] - bv[i]) for i in range(n - 1)
     )
-    scale = max(1.0, math.fsum(abs(x * y) for x, y in zip(av, bv)))
+    abs_prefix = list(accumulate(abs(x) for x in av))
+    rhs_scale = abs_prefix[-1] * abs(bv[-1]) + math.fsum(
+        abs_prefix[i] * (abs(bv[i + 1]) + abs(bv[i])) for i in range(n - 1)
+    )
+    scale = max(1.0, math.fsum(abs(x * y) for x, y in zip(av, bv)), rhs_scale)
     return abs(lhs - rhs) <= 1e-12 * scale

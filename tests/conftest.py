@@ -1,6 +1,7 @@
 import pytest
 
-from gridcount import build_totient_table
+from gridcount import GridQuery, ScanRow, build_totient_table, f_direct, main_term_f
+from gridcount.cli import render_scan
 
 
 @pytest.fixture(scope="session")
@@ -11,3 +12,19 @@ def table100():
 @pytest.fixture(scope="session")
 def table10k():
     return build_totient_table(10**4)
+
+
+@pytest.fixture(scope="session")
+def direct_scan_csv():
+    """Scan csv whose exact counts come from the O(n^2) definition sum."""
+
+    def render(q, ns):
+        rows = []
+        for n in ns:
+            exact = f_direct(GridQuery(n, q))
+            main = main_term_f(n, q)
+            res = exact - main
+            rows.append(ScanRow(n, q, exact, main, res, abs(res) / float(n) ** 4.0))
+        return render_scan("csv", rows)
+
+    return render

@@ -18,6 +18,7 @@ from gridcount import (
     rh_report,
     scan_residuals,
 )
+from gridcount.cli import render_scan
 
 
 class TestMainTerms:
@@ -111,11 +112,11 @@ class TestScan:
         with pytest.raises(ValueError, match="too small"):
             scan_residuals(1, [2, 500], table100)
 
-    def test_thread_count_invariant(self, table100):
-        ns = list(range(2, 40))
-        assert scan_residuals(1, ns, table100) == scan_residuals(
-            1, ns, table100, threads=4
-        )
+    def test_csv_matches_direct_rows(self, table100, direct_scan_csv):
+        ns = list(range(2, 100, 3))
+        for q in (1, 2, 3):
+            csv = render_scan("csv", scan_residuals(q, ns, table100))
+            assert csv == direct_scan_csv(q, ns), q
 
 
 def power_rows(exponent, coeff=1.0, ns=(10, 20, 40, 80, 160, 320)):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gridcount import (
@@ -197,6 +197,7 @@ class TestPartialSummation:
             max_size=64,
         )
     )
+    @example([(92.0, 0.0), (0.0, 49.19171764007629), (0.0, -40.17744843210911)])
     @settings(max_examples=200)
     def test_property(self, pairs):
         a = [p[0] for p in pairs]

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counts import GridQuery, f_fast, f_from_moments, totient_moments
+from .counts import GridQuery, as_int, f_fast, f_from_moments, totient_moments
 from .totient import PI_SQUARED, TotientTable
 
 RH_EXPONENT = 2.5
@@ -91,29 +91,29 @@ def main_term_lines_eq(n: int, q: int) -> float:
 
 def residual(n: int, q: int, table: TotientTable) -> float:
     """f_q(n) minus its main term, as a float."""
-    return f_fast(GridQuery(n, q), table) - main_term_f(n, q)
+    query = GridQuery(n, q)
+    return f_fast(query, table) - main_term_f(query.n, query.q)
 
 
 def scan_residuals(
     q: int,
     n_values: Iterable[int],
     table: TotientTable,
-    norm_exponent: float = 4.0,
 ) -> list[ScanRow]:
     """Residual rows for each n in an increasing sequence.
 
-    ``normalized`` is |residual| / n^norm_exponent, handy for eyeballing
-    decay against the main-term order.  Row order follows n_values, and all
-    exact counts come from one forward pass of totient_moments.
+    ``normalized`` is |residual| / n^4, handy for eyeballing decay against
+    the main-term order.  Row order follows n_values, and all exact counts
+    come from one forward pass of totient_moments.
     """
-    ns = list(n_values)
+    ns = [as_int(n, "grid side n") for n in n_values]
     if not ns:
         raise ValueError("n_values must be nonempty")
     if ns[0] < 1:
         raise ValueError(f"grid sides must be >= 1, got {ns[0]}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
-    GridQuery(ns[-1], q)  # validates q and the largest n
+    q = GridQuery(ns[-1], q).q  # validates q and the largest n
     rows = []
     for n, moments in zip(ns, totient_moments(table, [(n - 1) // q for n in ns])):
         exact = f_from_moments(n, q, moments)
@@ -126,7 +126,7 @@ def scan_residuals(
                 exact=exact,
                 main=main,
                 residual=res,
-                normalized=abs(res) / float(n) ** norm_exponent,
+                normalized=abs(res) / float(n) ** 4.0,
             )
         )
     return rows

@@ -103,31 +103,19 @@ def domain_errors(f: Callable) -> Callable:
     return wrapper
 
 
-def common_options(f: Callable) -> Callable:
-    f = click.option(
-        "--format",
-        "fmt",
-        type=click.Choice(["table", "csv", "json-lines"]),
-        default="table",
-        show_default=True,
-        help="output format",
-    )(f)
-    f = click.option(
-        "--limit",
-        type=int,
-        default=None,
-        help="build the totient sieve to at least this limit",
-    )(f)
-    f = click.option(
-        "--force", is_flag=True, help="lift the small-grid caps on the oracles"
-    )(f)
-    return f
+common_options = click.option(
+    "--format",
+    "fmt",
+    type=click.Choice(["table", "csv", "json-lines"]),
+    default="table",
+    show_default=True,
+    help="output format",
+)
 
 
-def build_table(needed: int, limit: int | None) -> totient.TotientTable:
-    """Sieve sized for the command, honoring an explicit --limit floor."""
-    target = max(needed, limit or 0, 1)
-    return totient.build_totient_table(target)
+def build_table(needed: int) -> totient.TotientTable:
+    """Sieve sized for the command (at least 1, the smallest table)."""
+    return totient.build_totient_table(max(needed, 1))
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -145,13 +133,13 @@ def main() -> None:
 )
 @common_options
 @domain_errors
-def fq_cmd(n: int, q: int, direct: bool, fmt: str, limit: int | None, force: bool) -> None:
+def fq_cmd(n: int, q: int, direct: bool, fmt: str) -> None:
     """The weighted pair count f_q(n)."""
     query = counts.GridQuery(n, q)
     if direct:
         f = counts.f_direct(query)
     else:
-        table = build_table(counts.table_limit_for(n, q), limit)
+        table = build_table(counts.table_limit_for(n, q))
         f = counts.f_fast(query, table)
     if fmt == "table":
         click.echo(format_value(f))
@@ -164,12 +152,12 @@ def fq_cmd(n: int, q: int, direct: bool, fmt: str, limit: int | None, force: boo
 @click.option("--q", type=int, required=True, help="gcd class")
 @common_options
 @domain_errors
-def counts_cmd(n: int, q: int, fmt: str, limit: int | None, force: bool) -> None:
+def counts_cmd(n: int, q: int, fmt: str) -> None:
     """f plus the derived segment and line counts at one (n, q).
 
     Line counts need q >= 2 and are empty/null at q = 1.
     """
-    table = build_table(counts.table_limit_for(n, q, lines=q >= 2), limit)
+    table = build_table(counts.table_limit_for(n, q, lines=q >= 2))
     cs = counts.count_set(n, q, table)
     columns = ("n", "q", "f", "segments", "lines_at_least", "lines_exactly")
     row = (cs.n, cs.q, cs.f, cs.segments, cs.lines_at_least, cs.lines_exactly)
@@ -195,8 +183,6 @@ def scan_cmd(
     geometric: bool,
     fit: bool,
     fmt: str,
-    limit: int | None,
-    force: bool,
 ) -> None:
     """Residuals f_q(n) - 6 n^4 / (pi^2 q^2) over a range of n."""
     if geometric and step is not None:
@@ -215,10 +201,8 @@ def scan_cmd(
         if step is not None and step < 1:
             raise ValueError(f"--step must be >= 1, got {step}")
         ns = list(range(n_start, n_end + 1, step or 1))
-    if q < 1:
-        raise ValueError(f"gcd class q must be >= 1, got {q}")
-    counts.GridQuery(ns[-1], q)  # n and budget validation before sieving
-    table = build_table((ns[-1] - 1) // q, limit)
+    counts.GridQuery(ns[-1], q)  # n and q validation before sieving
+    table = build_table(counts.table_limit_for(ns[-1], q))
     rows = asympt.scan_residuals(q, ns, table)
     click.echo(render_scan(fmt, rows))
     if fit:
@@ -280,11 +264,12 @@ def scan_cmd(
     is_flag=True,
     help="also run the threshold-dichotomy oracle (capped at n <= 4)",
 )
+@click.option(
+    "--force", is_flag=True, help="lift the small-grid caps on the oracles"
+)
 @common_options
 @domain_errors
-def oracle_cmd(
-    n: int, with_threshold: bool, fmt: str, limit: int | None, force: bool
-) -> None:
+def oracle_cmd(n: int, with_threshold: bool, force: bool, fmt: str) -> None:
     """Brute-force line histogram and segment census for a small grid.
 
     In csv the blocks are separated by '# lines', '# segments', and
@@ -324,11 +309,11 @@ def oracle_cmd(
 @click.option("--every", type=int, default=1, show_default=True, help="emit every k-th row")
 @common_options
 @domain_errors
-def errterms_cmd(m_max: int, every: int, fmt: str, limit: int | None, force: bool) -> None:
+def errterms_cmd(m_max: int, every: int, fmt: str) -> None:
     """Summatory totient Phi(m) with both error terms, streamed."""
     if m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {m_max}")
-    table = build_table(m_max, limit)
+    table = build_table(m_max)
     columns = ("m", "phi_sum", "e_phi", "e_r")
     rows = totient.iter_error_terms(table, m_max, every)
     if fmt == "table":
@@ -345,9 +330,9 @@ def errterms_cmd(m_max: int, every: int, fmt: str, limit: int | None, force: boo
 @click.option("--n", type=int, required=True, help="grid side")
 @common_options
 @domain_errors
-def threshold_cmd(n: int, fmt: str, limit: int | None, force: bool) -> None:
+def threshold_cmd(n: int, fmt: str) -> None:
     """Linear threshold dichotomies of the n x n grid: f_1(n) + 2."""
-    table = build_table(counts.table_limit_for(n, 1), limit)
+    table = build_table(counts.table_limit_for(n, 1))
     t = counts.threshold_count(n, table)
     if fmt == "table":
         click.echo(format_value(t))

@@ -24,6 +24,7 @@ k = 0, 1, 2 at a nondecreasing list of m in a single pass over the table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -47,14 +48,23 @@ _BLOCK = 1 << 14
 Moments = tuple[int, int, int]
 
 
+def as_int(value: object, what: str) -> int:
+    """value as a plain int (numpy integers included); bool and floats raise."""
+    if isinstance(value, bool):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class GridQuery:
-    """A validated (n, q) request: grid side n, gcd class q, both >= 1."""
+    """A validated (n, q) request: grid side n, gcd class q, both plain ints >= 1."""
 
     n: int
     q: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int(self.n, "grid side n"))
+        object.__setattr__(self, "q", as_int(self.q, "gcd class q"))
         if self.n < 1:
             raise ValueError(f"grid side n must be >= 1, got {self.n}")
         if self.q < 1:
@@ -200,11 +210,10 @@ def f_fast(query: GridQuery, table: TotientTable) -> int:
 
 def _f_at(n: int, qs: tuple[int, ...], table: TotientTable) -> list[int]:
     """f_q(n) for each q in qs, from one moment pass over their distinct m."""
-    for q in qs:
-        GridQuery(n, q)  # validates n and each q
-    ms = sorted({(n - 1) // q for q in qs})
+    queries = [GridQuery(n, q) for q in qs]
+    ms = sorted({(g.n - 1) // g.q for g in queries})
     moments = dict(zip(ms, totient_moments(table, ms)))
-    return [f_from_moments(n, q, moments[(n - 1) // q]) for q in qs]
+    return [f_from_moments(g.n, g.q, moments[(g.n - 1) // g.q]) for g in queries]
 
 
 def decompose_lemma(query: GridQuery, table: TotientTable) -> LemmaDecomposition:
@@ -261,6 +270,7 @@ def segments_count(n: int, p: int, table: TotientTable) -> int:
     Equals f_{p-1}(n) / 2: each segment is an unordered endpoint pair whose
     difference has gcd p - 1.
     """
+    p = as_int(p, "p")
     if p < 2:
         raise ValueError(f"a segment passes through at least 2 points, got p={p}")
     f = f_fast(GridQuery(n, p - 1), table)
@@ -301,12 +311,14 @@ def table_limit_for(n: int, q: int = 1, lines: bool = False) -> int:
 
 def count_set(n: int, q: int, table: TotientTable) -> CountSet:
     """f, segment, and line counts at one (n, q) from a single moment pass."""
+    query = GridQuery(n, q)
+    n, q = query.n, query.q
     if q >= 2:
         f_below, f, f_above = _f_at(n, (q - 1, q, q + 1), table)
         at_least = _at_least(n, q, f_below, f)
         exactly = _exactly(n, q, f_below, f, f_above)
     else:
-        f = f_fast(GridQuery(n, q), table)
+        f = f_fast(query, table)
         at_least = None
         exactly = None
     return CountSet(

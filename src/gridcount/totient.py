@@ -64,7 +64,7 @@ class TotientTable:
     phi_prefix: np.ndarray
 
 
-def build_totient_table(limit: int, budget: int | None = None) -> TotientTable:
+def build_totient_table(limit: int) -> TotientTable:
     """Sieve phi(1..limit) and its prefix sums.
 
     Linear-memory Eratosthenes variant: start from the identity and for each
@@ -73,11 +73,11 @@ def build_totient_table(limit: int, budget: int | None = None) -> TotientTable:
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    cap = sieve_budget() if budget is None else budget
+    cap = sieve_budget()
     if limit > cap:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds budget {cap}"
-            f" (raise it via {SIEVE_BUDGET_ENV} or the budget argument)"
+            f" (raise it via {SIEVE_BUDGET_ENV})"
         )
 
     dtype = np.int64 if limit >= 2**31 else np.int32

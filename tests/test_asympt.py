@@ -96,10 +96,6 @@ class TestScan:
             abs(rows[0].residual) / 16, rel=1e-14
         )
 
-    def test_norm_exponent(self, table100):
-        (row,) = scan_residuals(1, [8], table100, norm_exponent=3.0)
-        assert row.normalized == pytest.approx(abs(row.residual) / 512, rel=1e-14)
-
     def test_validation(self, table100):
         with pytest.raises(ValueError):
             scan_residuals(1, [], table100)

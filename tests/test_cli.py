@@ -214,10 +214,30 @@ class TestReproducibility:
         outs = {run(runner, *args).stdout for _ in range(3)}
         assert len(outs) == 1
 
-    def test_limit_flag_does_not_change_values(self, runner):
-        base = run(runner, "counts", "--n", "9", "--q", "3", "--format", "csv")
-        padded = run(
-            runner, "counts", "--n", "9", "--q", "3", "--format", "csv",
-            "--limit", "5000",
-        )
-        assert base.stdout == padded.stdout
+
+class TestOptions:
+    """Options that change no answer are not accepted; --force is oracle's alone."""
+
+    BASE = {
+        "fq": ("fq", "--n", "3", "--q", "1"),
+        "counts": ("counts", "--n", "3", "--q", "2"),
+        "scan": ("scan", "--q", "1", "--n-start", "2", "--n-end", "4"),
+        "oracle": ("oracle", "--n", "3"),
+        "errterms": ("errterms", "--m-max", "3"),
+        "threshold": ("threshold", "--n", "3"),
+    }
+
+    @pytest.mark.parametrize("cmd", sorted(BASE))
+    def test_limit_rejected(self, runner, cmd):
+        assert run(runner, *self.BASE[cmd]).exit_code == 0
+        assert run(runner, *self.BASE[cmd], "--limit", "5000").exit_code == 2
+
+    @pytest.mark.parametrize("cmd", sorted(set(BASE) - {"oracle"}))
+    def test_force_only_on_oracle(self, runner, cmd):
+        assert run(runner, *self.BASE[cmd], "--force").exit_code == 2
+        help_text = run(runner, cmd, "--help").stdout
+        assert "--force" not in help_text and "--limit" not in help_text
+
+    def test_oracle_help_lists_force(self, runner):
+        help_text = run(runner, "oracle", "--help").stdout
+        assert "--force" in help_text and "--limit" not in help_text

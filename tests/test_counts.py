@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,12 +11,15 @@ from gridcount import (
     MAX_GRID_N,
     GridQuery,
     ResourceLimitError,
+    build_totient_table,
     count_set,
     decompose_lemma,
     f_direct,
     f_fast,
     lines_at_least,
     lines_exactly,
+    residual,
+    scan_residuals,
     segments_count,
     table_limit_for,
     threshold_count,
@@ -38,6 +42,60 @@ class TestGridQuery:
     def test_too_large(self):
         with pytest.raises(ResourceLimitError):
             GridQuery(MAX_GRID_N + 1, 1)
+
+
+@pytest.fixture(scope="module")
+def table70k():
+    return build_totient_table(70_000)
+
+
+class TestIntegerBoundary:
+    """numpy integers give the plain-int answers, as plain ints; the rest raise."""
+
+    N = 70_000  # f_1(N) > 2^63, so int64 arithmetic on n would wrap
+    CALLS = {
+        "f_fast": lambda n, q, t: f_fast(GridQuery(n, q), t),
+        "count_set.f": lambda n, q, t: count_set(n, q, t).f,
+        "count_set.lines": lambda n, q, t: count_set(n, q + 1, t).lines_exactly,
+        "lines_at_least": lambda n, q, t: lines_at_least(n, q + 1, t),
+        "lines_exactly": lambda n, q, t: lines_exactly(n, q + 1, t),
+        "segments_count": lambda n, q, t: segments_count(n, q + 1, t),
+        "threshold_count": lambda n, q, t: threshold_count(n, t),
+        "scan_residuals": lambda n, q, t: scan_residuals(q, [n], t)[0].exact,
+    }
+
+    def test_f_past_int64(self, table70k):
+        f = f_fast(GridQuery(np.int64(self.N), 1), table70k)
+        assert type(f) is int and f == 14596329779609205212
+
+    @pytest.mark.parametrize("np_int", [np.int32, np.int64])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integers(self, table70k, np_int, name):
+        call = self.CALLS[name]
+        got = call(np_int(self.N), np_int(1), table70k)
+        assert type(got) is int
+        assert got == call(self.N, 1, table70k)
+
+    @pytest.mark.parametrize("np_int", [np.int32, np.int64])
+    def test_fields_are_plain_ints(self, table70k, np_int):
+        n, q = np_int(self.N), np_int(2)
+        query = GridQuery(n, q)
+        cs = count_set(n, q, table70k)
+        (row,) = scan_residuals(q, [n], table70k)
+        for v in (query.n, query.q, cs.n, cs.q, row.n, row.q):
+            assert type(v) is int
+        assert residual(n, q, table70k) == residual(self.N, 2, table70k)
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), np.True_])
+    def test_non_integers_raise(self, table100, bad):
+        with pytest.raises(TypeError):
+            GridQuery(bad, 1)
+        with pytest.raises(TypeError):
+            GridQuery(3, bad)
+        with pytest.raises(TypeError):
+            segments_count(3, bad, table100)
+        with pytest.raises(TypeError):
+            scan_residuals(1, [bad], table100)
 
 
 class TestFDirect:

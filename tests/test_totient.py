@@ -71,10 +71,6 @@ class TestSieve:
         with pytest.raises(ValueError):
             build_totient_table(-5)
 
-    def test_budget_enforced(self):
-        with pytest.raises(ResourceLimitError):
-            build_totient_table(1000, budget=100)
-
     def test_budget_env_override(self, monkeypatch):
         monkeypatch.setenv("GRIDCOUNT_SIEVE_LIMIT", "50")
         with pytest.raises(ResourceLimitError):

@@ -64,6 +64,7 @@ class RhReport:
 
 def main_term_f(n: int, q: int) -> float:
     """Leading term of f_q(n): 6 n^4 / (pi^2 q^2)."""
+    n, q = as_int(n, "grid side n"), as_int(q, "gcd class q")
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
     return 6.0 * n**4 / (PI_SQUARED * q * q)
@@ -76,6 +77,7 @@ def main_term_segments(n: int, q: int) -> float:
 
 def main_term_lines_ge(n: int, q: int) -> float:
     """Leading term of the at-least-q line count, q >= 2."""
+    n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if q < 2:
         raise ValueError(f"line counts need q >= 2, got {q}")
     return 3.0 * n**4 / PI_SQUARED * (1.0 / (q - 1) ** 2 - 1.0 / q**2)
@@ -83,6 +85,7 @@ def main_term_lines_ge(n: int, q: int) -> float:
 
 def main_term_lines_eq(n: int, q: int) -> float:
     """Leading term of the exactly-q line count, q >= 2."""
+    n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if q < 2:
         raise ValueError(f"line counts need q >= 2, got {q}")
     bracket = 1.0 / (q + 1) ** 2 - 2.0 / q**2 + 1.0 / (q - 1) ** 2

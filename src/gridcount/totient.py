@@ -64,12 +64,27 @@ class TotientTable:
     phi_prefix: np.ndarray
 
 
+def _primes_upto(n: int) -> list[int]:
+    """The primes <= n, by a plain Eratosthenes sieve of size n + 1."""
+    is_prime = np.ones(n + 1, dtype=bool)
+    is_prime[:2] = False
+    for p in range(2, math.isqrt(n) + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+    return np.flatnonzero(is_prime).tolist()
+
+
 def build_totient_table(limit: int) -> TotientTable:
     """Sieve phi(1..limit) and its prefix sums.
 
-    Linear-memory Eratosthenes variant: start from the identity and for each
-    prime p scale every multiple by (1 - 1/p), which is exact in integers
-    as ``x -= x // p``.
+    Every i <= limit has at most one prime factor above sqrt(limit), so only
+    the primes p <= sqrt(limit) are walked.  Starting from phi = rem = i,
+    each such p scales its multiples by (1 - 1/p), exactly as
+    ``x -= x // p``, and divides every power p^k <= limit out of ``rem``.
+    Whatever is left in ``rem`` above 1 is then that single large prime P,
+    applied to all indices at once as ``phi -= phi // P``.  ``rem`` is freed
+    before the int64 prefix sums are accumulated in place, so below 2^31
+    the peak allocation is the finished table's 12 bytes per entry.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -82,15 +97,22 @@ def build_totient_table(limit: int) -> TotientTable:
 
     dtype = np.int64 if limit >= 2**31 else np.int32
     phi = np.arange(limit + 1, dtype=dtype)
-    is_comp = np.zeros(limit + 1, dtype=bool)
-    for p in range(2, limit + 1):
-        if is_comp[p]:
-            continue
+    rem = phi.copy()
+    for p in _primes_upto(math.isqrt(limit)):
         phi[p::p] -= phi[p::p] // p
-        if p * p <= limit:
-            is_comp[p * p :: p] = True
+        power = p
+        while power <= limit:
+            rem[power::power] //= p
+            power *= p
+    # masked rather than dividing by a sentinel such as limit + 1, which
+    # would not fit int32 at limit = 2^31 - 1
+    large = rem > 1
+    np.floor_divide(phi, rem, out=rem, where=large)
+    np.subtract(phi, rem, out=phi, where=large)
+    del rem, large
 
-    prefix = np.cumsum(phi, dtype=np.int64)
+    prefix = phi.astype(np.int64)
+    np.cumsum(prefix, out=prefix)
     phi.setflags(write=False)
     prefix.setflags(write=False)
     return TotientTable(limit=limit, phi=phi, phi_prefix=prefix)

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from gridcount import (
@@ -62,6 +63,23 @@ class TestMainTerms:
             main_term_lines_ge(10, 1)
         with pytest.raises(ValueError):
             main_term_lines_eq(10, 1)
+
+    MAIN_TERMS = [main_term_f, main_term_segments, main_term_lines_ge, main_term_lines_eq]
+
+    @pytest.mark.parametrize("np_int", [np.int32, np.int64])
+    @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)
+    def test_numpy_integers(self, fn, np_int):
+        # n^4 = 2.4e19 exceeds int64 (and int32), so it must be taken in Python ints
+        n = 70_000
+        assert fn(np_int(n), np_int(2)) == fn(n, 2)
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), np.True_])
+    @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)
+    def test_non_integers_raise(self, fn, bad):
+        with pytest.raises(TypeError):
+            fn(bad, 2)
+        with pytest.raises(TypeError):
+            fn(10, bad)
 
 
 class TestResidual:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,65 @@ from gridcount import (
 
 def phi_by_definition(k: int) -> int:
     return sum(1 for j in range(1, k + 1) if math.gcd(j, k) == 1)
+
+
+def reference_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """phi(0..limit) and its prefix sums by the plain per-prime sieve.
+
+    Walks every p <= limit in Python, so it is slow but shares no code or
+    method with build_totient_table.
+    """
+    phi = np.arange(limit + 1, dtype=np.int32)
+    is_comp = np.zeros(limit + 1, dtype=bool)
+    for p in range(2, limit + 1):
+        if is_comp[p]:
+            continue
+        phi[p::p] -= phi[p::p] // p
+        if p * p <= limit:
+            is_comp[p * p :: p] = True
+    return phi, np.cumsum(phi, dtype=np.int64)
+
+
+class TestSieveCrossCheck:
+    """build_totient_table against the per-prime reference sieve."""
+
+    def test_every_limit_to_2000(self):
+        # covers p^2 and p^2 +- 1 for every p <= 43 and, at every limit,
+        # indices whose largest prime factor exceeds sqrt(limit)
+        ref_phi, ref_prefix = reference_table(2000)
+        for limit in range(1, 2001):
+            t = build_totient_table(limit)
+            assert t.limit == limit
+            assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
+            assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
+
+    def test_full_array_at_one_million(self):
+        ref_phi, ref_prefix = reference_table(10**6)
+        t = build_totient_table(10**6)
+        assert np.array_equal(t.phi, ref_phi)
+        assert np.array_equal(t.phi_prefix, ref_prefix)
+
+    @pytest.mark.parametrize("limit", [1, 2, 4, 1000, 10**5])
+    def test_layout(self, limit):
+        t = build_totient_table(limit)
+        assert t.phi.dtype == np.int32 and t.phi_prefix.dtype == np.int64
+        assert t.phi.shape == t.phi_prefix.shape == (limit + 1,)
+        for arr in (t.phi, t.phi_prefix):
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+
+    def test_peak_memory_is_the_table(self):
+        # the finished table is 4 + 8 = 12 bytes per entry; the sieve may
+        # not hold a second full-size int64 array on top of it
+        limit = 10**6
+        tracemalloc.start()
+        try:
+            t = build_totient_table(limit)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert t.limit == limit
+        assert peak <= 13 * (limit + 1), peak / (limit + 1)
 
 
 class TestSieve:

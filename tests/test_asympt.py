@@ -64,6 +64,14 @@ class TestMainTerms:
         with pytest.raises(ValueError):
             main_term_lines_eq(10, 1)
 
+    @pytest.mark.parametrize("n", [-5, 0])
+    @pytest.mark.parametrize(
+        "fn", [main_term_lines_ge, main_term_lines_eq], ids=lambda fn: fn.__name__
+    )
+    def test_lines_need_positive_n(self, fn, n):
+        with pytest.raises(ValueError):
+            fn(n, 3)
+
     MAIN_TERMS = [main_term_f, main_term_segments, main_term_lines_ge, main_term_lines_eq]
 
     @pytest.mark.parametrize("np_int", [np.int32, np.int64])

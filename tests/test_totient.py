@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridcount import totient
 from gridcount import (
     PI_SQUARED,
     ResourceLimitError,
@@ -55,6 +56,26 @@ class TestSieveCrossCheck:
             assert t.limit == limit
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
             assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
+
+    @pytest.mark.parametrize("block", [7, 64])
+    def test_small_blocks(self, monkeypatch, block):
+        # blocks are max(block, limit // 16) entries, so every limit here is
+        # split at many offsets and prime powers straddle block edges
+        monkeypatch.setattr(totient, "_SIEVE_BLOCK", block)
+        ref_phi, ref_prefix = reference_table(2000)
+        for limit in range(1, 2001):
+            t = build_totient_table(limit)
+            assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
+            assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edges(self, blocks, offset):
+        limit = blocks * totient._SIEVE_BLOCK + offset
+        ref_phi, ref_prefix = reference_table(limit)
+        t = build_totient_table(limit)
+        assert np.array_equal(t.phi, ref_phi)
+        assert np.array_equal(t.phi_prefix, ref_prefix)
 
     def test_full_array_at_one_million(self):
         ref_phi, ref_prefix = reference_table(10**6)

@@ -17,8 +17,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .counts import GridQuery, as_int, f_fast, f_from_moments, totient_moments
-from .totient import PI_SQUARED, TotientTable
+from .counts import GridQuery, f_fast, f_from_moments
+from .totient import PI_SQUARED, TotientTable, as_int, totient_moments
 
 RH_EXPONENT = 2.5
 UNCONDITIONAL_EXPONENT = 3.0

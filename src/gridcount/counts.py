@@ -16,43 +16,29 @@ exactly q.  Consequences:
 gcd follows math.gcd: gcd(0, k) = |k| and gcd(0, 0) = 0, so the zero
 difference never matches any q >= 1.
 
-Every fast count goes through one kernel, totient_moments, which returns
-the exact weighted totient moments S_k(m) = sum_{i<=m} i^k phi(i) for
-k = 0, 1, 2 at a nondecreasing list of m in a single pass over the table.
+Every fast count goes through one kernel, totient_moments (defined in the
+totient module, next to the table it reads), which returns the exact
+weighted totient moments S_k(m) = sum_{i<=m} i^k phi(i) for k = 0, 1, 2
+at a nondecreasing list of m in a single pass over the table.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
 
 from .errors import ResourceLimitError
-from .totient import TotientTable
+from .totient import (
+    MOMENT_INDEX_LIMIT,
+    Moments,
+    TotientTable,
+    _check_table,
+    as_int,
+    totient_moments,
+)
 
 #: largest accepted grid side; beyond this the sieve alone is unreasonable
 MAX_GRID_N = 10**7
-
-#: totient_moments is exact for every m below this (see its docstring)
-MOMENT_INDEX_LIMIT = 1 << 24
-
-# For i < 2^24, i*phi(i) < 2^48.  Splitting it into 24-bit limbs keeps
-# i * limb < 2^48 too, so a block of 2^14 terms sums below 2^62 in int64.
-_LIMB_BITS = 24
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-_BLOCK = 1 << 14
-
-Moments = tuple[int, int, int]
-
-
-def as_int(value: object, what: str) -> int:
-    """value as a plain int (numpy integers included); bool and floats raise."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -126,63 +112,6 @@ def f_direct(query: GridQuery) -> int:
             if math.gcd(i, j) == q:
                 total += wi * (n - abs(j))
     return total
-
-
-def _check_table(table: TotientTable, needed: int) -> None:
-    if table.limit < needed:
-        raise ValueError(
-            f"totient table limit {table.limit} too small, need at least {needed}"
-        )
-
-
-def _moment_sums(phi: np.ndarray, lo: int, hi: int) -> Moments:
-    """Exact sums of phi(i), i phi(i), i^2 phi(i) over lo <= i < hi <= 2^24."""
-    s0 = s1 = s2 = 0
-    for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        i = np.arange(start, stop, dtype=np.int64)
-        p = phi[start:stop].astype(np.int64)
-        ip = i * p
-        s0 += int(p.sum())
-        s1 += int(ip.sum())
-        s2 += (int((i * (ip >> _LIMB_BITS)).sum()) << _LIMB_BITS) + int(
-            (i * (ip & _LIMB_MASK)).sum()
-        )
-    return s0, s1, s2
-
-
-def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
-    """(S_0(m), S_1(m), S_2(m)) with S_k(m) = sum_{i<=m} i^k phi(i), per m.
-
-    ``ms`` must be nondecreasing; the table is walked once, block by block.
-    Terms are summed exactly in int64 limbs: for m < 2^24 each of
-    phi(i), i phi(i) and i times a 24-bit half of i phi(i) is below 2^48, so
-    a block of 2^14 of them stays below 2^62, and block sums are combined
-    as Python ints.  m >= MOMENT_INDEX_LIMIT raises ResourceLimitError
-    before the table is read.
-    """
-    ms = list(ms)
-    if any(b < a for a, b in zip(ms, ms[1:])):
-        raise ValueError("m values must be nondecreasing")
-    if ms and ms[0] < 0:
-        raise ValueError(f"m must be >= 0, got {ms[0]}")
-    top = ms[-1] if ms else 0
-    if top >= MOMENT_INDEX_LIMIT:
-        raise ResourceLimitError(
-            f"moment index {top} exceeds the exact int64 range"
-            f" (m < {MOMENT_INDEX_LIMIT})"
-        )
-    _check_table(table, top)
-    out = []
-    done = 0
-    s0 = s1 = s2 = 0
-    for m in ms:
-        if m > done:
-            d0, d1, d2 = _moment_sums(table.phi, done + 1, m + 1)
-            s0, s1, s2 = s0 + d0, s1 + d1, s2 + d2
-            done = m
-        out.append((s0, s1, s2))
-    return out
 
 
 def f_from_moments(n: int, q: int, moments: Moments) -> int:

@@ -12,9 +12,12 @@ from gridcount import (
     TotientTable,
     build_totient_table,
     count_set,
+    e_phi,
+    e_r,
     f_direct,
     f_fast,
     f_from_moments,
+    summatory_phi,
     totient_moments,
 )
 from gridcount.counts import MOMENT_INDEX_LIMIT, _at_least, _exactly, _half_exact
@@ -79,7 +82,7 @@ def test_many_targets_across_block_edges():
 
 
 def test_m_zero_reads_nothing():
-    table = TotientTable(limit=1, phi=ExplodingPhi(), phi_prefix=None)
+    table = TotientTable(limit=1, phi=ExplodingPhi())
     assert totient_moments(table, [0, 0]) == [(0, 0, 0), (0, 0, 0)]
     assert totient_moments(table, []) == []
 
@@ -90,7 +93,7 @@ def test_exact_at_the_index_limit():
     m = MOMENT_INDEX_LIMIT - 1
     phi = np.arange(-1, m, dtype=np.int32)
     phi[0] = 0
-    table = TotientTable(limit=m, phi=phi, phi_prefix=None)
+    table = TotientTable(limit=m, phi=phi)
     s1 = m * (m + 1) // 2
     s2 = m * (m + 1) * (2 * m + 1) // 6
     s3 = s1 * s1
@@ -98,11 +101,20 @@ def test_exact_at_the_index_limit():
 
 
 def test_index_guard_raises_before_reading_the_table():
-    table = TotientTable(limit=2 * MOMENT_INDEX_LIMIT, phi=ExplodingPhi(), phi_prefix=None)
+    table = TotientTable(limit=2 * MOMENT_INDEX_LIMIT, phi=ExplodingPhi())
     with pytest.raises(ResourceLimitError, match="exact int64 range"):
         totient_moments(table, [1, MOMENT_INDEX_LIMIT])
     with pytest.raises(LookupError):
         totient_moments(table, [MOMENT_INDEX_LIMIT - 1])
+
+
+@pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
+def test_point_queries_raise_at_the_index_limit_before_reading(fn):
+    table = TotientTable(limit=2 * MOMENT_INDEX_LIMIT, phi=ExplodingPhi())
+    with pytest.raises(ResourceLimitError, match="exact int64 range"):
+        fn(table, MOMENT_INDEX_LIMIT)
+    with pytest.raises(LookupError):
+        fn(table, MOMENT_INDEX_LIMIT - 1)
 
 
 def test_validation(table100):

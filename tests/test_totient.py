@@ -1,5 +1,6 @@
 """Totient table, summatory function, error terms, partial summation."""
 
+import dataclasses
 import math
 import random
 import tracemalloc
@@ -55,7 +56,7 @@ class TestSieveCrossCheck:
             t = build_totient_table(limit)
             assert t.limit == limit
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
-            assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
+            assert summatory_phi(t, limit) == ref_prefix[limit], limit
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_small_blocks(self, monkeypatch, block):
@@ -66,7 +67,7 @@ class TestSieveCrossCheck:
         for limit in range(1, 2001):
             t = build_totient_table(limit)
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
-            assert np.array_equal(t.phi_prefix, ref_prefix[: limit + 1]), limit
+            assert summatory_phi(t, limit) == ref_prefix[limit], limit
 
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -75,26 +76,27 @@ class TestSieveCrossCheck:
         ref_phi, ref_prefix = reference_table(limit)
         t = build_totient_table(limit)
         assert np.array_equal(t.phi, ref_phi)
-        assert np.array_equal(t.phi_prefix, ref_prefix)
+        assert np.array_equal(np.cumsum(t.phi, dtype=np.int64), ref_prefix)
 
     def test_full_array_at_one_million(self):
         ref_phi, ref_prefix = reference_table(10**6)
         t = build_totient_table(10**6)
         assert np.array_equal(t.phi, ref_phi)
-        assert np.array_equal(t.phi_prefix, ref_prefix)
+        assert np.array_equal(np.cumsum(t.phi, dtype=np.int64), ref_prefix)
+        assert summatory_phi(t, 10**6) == ref_prefix[-1]
 
     @pytest.mark.parametrize("limit", [1, 2, 4, 1000, 10**5])
     def test_layout(self, limit):
         t = build_totient_table(limit)
-        assert t.phi.dtype == np.int32 and t.phi_prefix.dtype == np.int64
-        assert t.phi.shape == t.phi_prefix.shape == (limit + 1,)
-        for arr in (t.phi, t.phi_prefix):
-            assert not arr.flags.writeable
-            assert arr.flags.c_contiguous
+        assert [f.name for f in dataclasses.fields(t)] == ["limit", "phi"]
+        assert t.phi.dtype == np.int32
+        assert t.phi.shape == (limit + 1,)
+        assert not t.phi.flags.writeable
+        assert t.phi.flags.c_contiguous
 
     def test_peak_memory_is_the_table(self):
-        # the finished table is 4 + 8 = 12 bytes per entry; the sieve may
-        # not hold a second full-size int64 array on top of it
+        # the finished table is 4 bytes per entry; the sieve may add only
+        # block-sized temporaries (two int32 blocks of limit / 16 entries)
         limit = 10**6
         tracemalloc.start()
         try:
@@ -103,7 +105,7 @@ class TestSieveCrossCheck:
         finally:
             tracemalloc.stop()
         assert t.limit == limit
-        assert peak <= 13 * (limit + 1), peak / (limit + 1)
+        assert peak <= 5 * (limit + 1), peak / (limit + 1)
 
 
 class TestSieve:
@@ -111,7 +113,7 @@ class TestSieve:
         t = build_totient_table(1)
         assert t.limit == 1
         assert int(t.phi[1]) == 1
-        assert int(t.phi_prefix[1]) == 1
+        assert summatory_phi(t, 1) == 1
 
     def test_small_values(self, table100):
         assert int(table100.phi[7]) == 6
@@ -133,18 +135,16 @@ class TestSieve:
             assert total == k
 
     def test_prefix_consistent(self, table100):
-        diffs = np.diff(table100.phi_prefix)
-        assert np.array_equal(diffs, table100.phi[1:])
-        assert int(table100.phi_prefix[0]) == 0
+        pre = [0] + [summatory_phi(table100, i) for i in range(1, 101)]
+        assert np.array_equal(np.diff(pre), table100.phi[1:])
 
     def test_prefix_strictly_increasing(self, table100):
-        assert np.all(np.diff(table100.phi_prefix) > 0)
+        pre = [summatory_phi(table100, i) for i in range(1, 101)]
+        assert np.all(np.diff(pre) > 0)
 
     def test_arrays_read_only(self, table100):
         with pytest.raises(ValueError):
             table100.phi[3] = 0
-        with pytest.raises(ValueError):
-            table100.phi_prefix[3] = 0
 
     def test_bad_limit(self):
         with pytest.raises(ValueError):
@@ -209,7 +209,7 @@ class TestErrorTerms:
 
     def test_envelope_small(self, table10k):
         # |e_phi(m)| <= 10 m log(m + 2), loose version of the growth bound
-        pre = table10k.phi_prefix
+        pre = np.cumsum(table10k.phi, dtype=np.int64)
         for m in range(1, 10**4 + 1):
             bound = 10.0 * m * math.log(m + 2)
             assert abs(float(pre[m]) - 3.0 * m * m / PI_SQUARED) <= bound, m
@@ -242,6 +242,39 @@ class TestIterErrorTerms:
             list(iter_error_terms(table100, 200))
         with pytest.raises(ValueError):
             list(iter_error_terms(table100, 10, every=0))
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
+    def test_numpy_index_is_a_plain_int(self, fn, table100):
+        for i in (1, 17, 100):
+            plain = fn(table100, i)
+            value = fn(table100, np.int64(i))
+            assert value == plain and type(value) is type(plain)
+
+    def test_numpy_index_past_int64_cubes(self):
+        # i (i + 1) (2i + 1) wraps int64 from i ~ 1.66e6
+        t = build_totient_table(3_000_000)
+        value = e_r(t, np.int64(3_000_000))
+        assert value == e_r(t, 3_000_000) and type(value) is float
+
+    def test_numpy_stream_arguments(self, table100):
+        rows = list(iter_error_terms(table100, np.int64(50), every=np.int32(7)))
+        assert rows == list(iter_error_terms(table100, 50, every=7))
+        assert all(type(r[0]) is int for r in rows)
+
+    @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
+    def test_bool_and_float_raise(self, fn, table100):
+        with pytest.raises(TypeError, match="must be an integer"):
+            fn(table100, True)
+        with pytest.raises(TypeError):
+            fn(table100, 2.0)
+
+    def test_stream_bool_and_float_raise(self, table100):
+        with pytest.raises(TypeError, match="must be an integer"):
+            list(iter_error_terms(table100, 10, every=True))
+        with pytest.raises(TypeError):
+            list(iter_error_terms(table100, 10.0))
 
 
 class TestPartialSummation:

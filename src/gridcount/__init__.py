@@ -58,7 +58,6 @@ from .totient import (
     SIEVE_BUDGET_ENV,
     TotientTable,
     build_totient_table,
-    check_partial_summation,
     e_phi,
     e_r,
     iter_error_terms,
@@ -88,7 +87,6 @@ __all__ = [
     "UNCONDITIONAL_EXPONENT",
     "build_totient_table",
     "canonical_line",
-    "check_partial_summation",
     "count_set",
     "decompose_lemma",
     "e_phi",

@@ -65,25 +65,58 @@ def table_lines(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[s
     return out
 
 
+def row_line(fmt: str, columns: Sequence[str], row: Sequence[Any]) -> str:
+    """One row as a csv or json-lines line."""
+    return csv_line(row) if fmt == "csv" else json_line(columns, row)
+
+
 def render_rows(fmt: str, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     """Rows rendered as one newline-joined block in the requested format."""
-    if fmt == "csv":
-        return "\n".join(csv_line(r) for r in rows)
-    if fmt == "json-lines":
-        return "\n".join(json_line(columns, r) for r in rows)
-    return "\n".join(table_lines(columns, list(rows)))
+    if fmt == "table":
+        return "\n".join(table_lines(columns, list(rows)))
+    return "\n".join(row_line(fmt, columns, r) for r in rows)
+
+
+def emit(
+    fmt: str, columns: Sequence[str], rows: Iterable[Sequence[Any]], block: str = ""
+) -> None:
+    """Print rows: a table as one aligned block, csv and json-lines row by row.
+
+    ``block`` names a csv section, printed first as a '# block' marker line.
+    """
+    if fmt == "table":
+        click.echo(render_rows(fmt, columns, rows))
+        return
+    if block and fmt == "csv":
+        click.echo(f"# {block}")
+    for row in rows:
+        click.echo(row_line(fmt, columns, row))
+
+
+def emit_value(
+    fmt: str, columns: Sequence[str], row: Sequence[Any], block: str = "", label: str = ""
+) -> None:
+    """One row whose last cell is the answer; in table format that cell alone."""
+    if fmt == "table":
+        click.echo(label + format_value(row[-1]))
+    else:
+        emit(fmt, columns, [row], block)
 
 
 SCAN_COLUMNS = ("n", "q", "exact", "main", "residual", "normalized")
+FIT_COLUMNS = (
+    "slope", "intercept", "points_used", "n_lo", "n_hi", "classification",
+    "message", "note",
+)
+
+
+def _scan_cells(rows: Iterable[asympt.ScanRow]) -> list[tuple]:
+    return [(r.n, r.q, r.exact, r.main, r.residual, r.normalized) for r in rows]
 
 
 def render_scan(fmt: str, rows: Sequence[asympt.ScanRow]) -> str:
     """The scan table exactly as the scan subcommand prints it."""
-    return render_rows(
-        fmt,
-        SCAN_COLUMNS,
-        [(r.n, r.q, r.exact, r.main, r.residual, r.normalized) for r in rows],
-    )
+    return render_rows(fmt, SCAN_COLUMNS, _scan_cells(rows))
 
 
 def domain_errors(f: Callable) -> Callable:
@@ -113,9 +146,9 @@ common_options = click.option(
 )
 
 
-def build_table(needed: int) -> totient.TotientTable:
-    """Sieve sized for the command (at least 1, the smallest table)."""
-    return totient.build_totient_table(max(needed, 1))
+def build_table(n: int, q: int = 1, lines: bool = False) -> totient.TotientTable:
+    """Sieve sized for the counts at (n, q), once n and q are validated."""
+    return totient.build_totient_table(max(counts.table_limit_for(n, q, lines), 1))
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -126,25 +159,13 @@ def main() -> None:
 @main.command("fq")
 @click.option("--n", type=int, required=True, help="grid side")
 @click.option("--q", type=int, required=True, help="gcd class")
-@click.option(
-    "--direct",
-    is_flag=True,
-    help="evaluate the O(n^2) definition sum instead of the totient formula",
-)
 @common_options
 @domain_errors
-def fq_cmd(n: int, q: int, direct: bool, fmt: str) -> None:
+def fq_cmd(n: int, q: int, fmt: str) -> None:
     """The weighted pair count f_q(n)."""
-    query = counts.GridQuery(n, q)
-    if direct:
-        f = counts.f_direct(query)
-    else:
-        table = build_table(counts.table_limit_for(n, q))
-        f = counts.f_fast(query, table)
-    if fmt == "table":
-        click.echo(format_value(f))
-    else:
-        click.echo(render_rows(fmt, ("n", "q", "f"), [(n, q, f)]))
+    table = build_table(n, q)
+    f = counts.f_fast(counts.GridQuery(n, q), table)
+    emit_value(fmt, ("n", "q", "f"), (n, q, f))
 
 
 @main.command("counts")
@@ -157,11 +178,11 @@ def counts_cmd(n: int, q: int, fmt: str) -> None:
 
     Line counts need q >= 2 and are empty/null at q = 1.
     """
-    table = build_table(counts.table_limit_for(n, q, lines=q >= 2))
+    table = build_table(n, q, lines=q >= 2)
     cs = counts.count_set(n, q, table)
     columns = ("n", "q", "f", "segments", "lines_at_least", "lines_exactly")
     row = (cs.n, cs.q, cs.f, cs.segments, cs.lines_at_least, cs.lines_exactly)
-    click.echo(render_rows(fmt, columns, [row]))
+    emit(fmt, columns, [row])
 
 
 @main.command("scan")
@@ -201,59 +222,33 @@ def scan_cmd(
         if step is not None and step < 1:
             raise ValueError(f"--step must be >= 1, got {step}")
         ns = list(range(n_start, n_end + 1, step or 1))
-    counts.GridQuery(ns[-1], q)  # n and q validation before sieving
-    table = build_table(counts.table_limit_for(ns[-1], q))
+    table = build_table(ns[-1], q)
     rows = asympt.scan_residuals(q, ns, table)
-    click.echo(render_scan(fmt, rows))
+    emit(fmt, SCAN_COLUMNS, _scan_cells(rows))
     if fit:
         slope_fit = asympt.fit_log_exponent(rows)
         report = asympt.rh_report(slope_fit)
-        lo, hi = slope_fit.n_range
-        if fmt == "csv":
-            click.echo("# fit")
-            click.echo(
-                csv_line(
-                    [
-                        slope_fit.slope,
-                        slope_fit.intercept,
-                        slope_fit.points_used,
-                        lo,
-                        hi,
-                        report.classification,
-                    ]
-                )
-            )
-        elif fmt == "json-lines":
-            click.echo(
-                json_line(
-                    (
-                        "slope",
-                        "intercept",
-                        "points_used",
-                        "n_lo",
-                        "n_hi",
-                        "classification",
-                        "message",
-                        "note",
-                    ),
-                    (
-                        slope_fit.slope,
-                        slope_fit.intercept,
-                        slope_fit.points_used,
-                        lo,
-                        hi,
-                        report.classification,
-                        report.message,
-                        report.note,
-                    ),
-                )
-            )
-        else:
+        if fmt == "table":
             click.echo("")
             click.echo(f"fit: slope {format_value(slope_fit.slope)}")
             click.echo(f"     intercept {format_value(slope_fit.intercept)}")
             click.echo(f"     {report.message}")
             click.echo(f"     note: {report.note}")
+        else:
+            lo, hi = slope_fit.n_range
+            row = (
+                slope_fit.slope,
+                slope_fit.intercept,
+                slope_fit.points_used,
+                lo,
+                hi,
+                report.classification,
+                report.message,
+                report.note,
+            )
+            # the csv fit schema ends at the classification; json adds the text
+            width = 6 if fmt == "csv" else len(FIT_COLUMNS)
+            emit(fmt, FIT_COLUMNS[:width], [row[:width]], "fit")
 
 
 @main.command("oracle")
@@ -280,28 +275,14 @@ def oracle_cmd(n: int, with_threshold: bool, force: bool, fmt: str) -> None:
     seg_rows = [(n, p, oracle.oracle_segments(n, p, force=force)) for p in range(2, n + 1)]
     thr = oracle.oracle_threshold_count(n, force=force) if with_threshold else None
 
-    if fmt == "csv":
-        click.echo("# lines")
-        click.echo(render_rows(fmt, ("n", "p", "lines"), line_rows))
-        click.echo("# segments")
-        click.echo(render_rows(fmt, ("n", "p", "segments"), seg_rows))
-        if thr is not None:
-            click.echo("# threshold")
-            click.echo(csv_line([n, thr]))
-    elif fmt == "json-lines":
-        click.echo(render_rows(fmt, ("n", "p", "lines"), line_rows))
-        click.echo(render_rows(fmt, ("n", "p", "segments"), seg_rows))
-        if thr is not None:
-            click.echo(json_line(("n", "t"), (n, thr)))
-    else:
+    if fmt == "table":
         click.echo("lines through exactly p grid points")
-        click.echo(render_rows(fmt, ("n", "p", "lines"), line_rows))
-        click.echo("")
-        click.echo("segments covering exactly p grid points")
-        click.echo(render_rows(fmt, ("n", "p", "segments"), seg_rows))
-        if thr is not None:
-            click.echo("")
-            click.echo(f"threshold dichotomies: {thr}")
+    emit(fmt, ("n", "p", "lines"), line_rows, "lines")
+    if fmt == "table":
+        click.echo("\nsegments covering exactly p grid points")
+    emit(fmt, ("n", "p", "segments"), seg_rows, "segments")
+    if thr is not None:
+        emit_value(fmt, ("n", "t"), (n, thr), "threshold", "\nthreshold dichotomies: ")
 
 
 @main.command("errterms")
@@ -313,17 +294,9 @@ def errterms_cmd(m_max: int, every: int, fmt: str) -> None:
     """Summatory totient Phi(m) with both error terms, streamed."""
     if m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {m_max}")
-    table = build_table(m_max)
-    columns = ("m", "phi_sum", "e_phi", "e_r")
+    table = totient.build_totient_table(m_max)
     rows = totient.iter_error_terms(table, m_max, every)
-    if fmt == "table":
-        click.echo(render_rows(fmt, columns, list(rows)))
-    else:
-        for row in rows:
-            if fmt == "csv":
-                click.echo(csv_line(row))
-            else:
-                click.echo(json_line(columns, row))
+    emit(fmt, ("m", "phi_sum", "e_phi", "e_r"), rows)
 
 
 @main.command("threshold")
@@ -332,12 +305,8 @@ def errterms_cmd(m_max: int, every: int, fmt: str) -> None:
 @domain_errors
 def threshold_cmd(n: int, fmt: str) -> None:
     """Linear threshold dichotomies of the n x n grid: f_1(n) + 2."""
-    table = build_table(counts.table_limit_for(n, 1))
-    t = counts.threshold_count(n, table)
-    if fmt == "table":
-        click.echo(format_value(t))
-    else:
-        click.echo(render_rows(fmt, ("n", "t"), [(n, t)]))
+    t = counts.threshold_count(n, build_table(n))
+    emit_value(fmt, ("n", "t"), (n, t))
 
 
 if __name__ == "__main__":

@@ -231,8 +231,11 @@ def table_limit_for(n: int, q: int = 1, lines: bool = False) -> int:
     """Smallest sieve limit that serves f_q(n), or all counts at (n, q).
 
     With ``lines`` the second difference needs f_{q-1}, hence the wider
-    limit floor((n-1)/(q-1)).
+    limit floor((n-1)/(q-1)).  n and q are validated as a GridQuery first,
+    so a bad query raises before any sieve is sized from it.
     """
+    query = GridQuery(n, q)
+    n, q = query.n, query.q
     if lines and q >= 2:
         return (n - 1) // (q - 1)
     return (n - 1) // q

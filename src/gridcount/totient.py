@@ -20,8 +20,7 @@ import operator
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -237,7 +236,11 @@ def e_phi(table: TotientTable, i: int) -> float:
     """First error term Phi(i) - 3 i^2 / pi^2, for i < 2^24."""
     i = _check_index(table, i)
     ((s0, _, _),) = totient_moments(table, [i])
-    return float(s0) - 3.0 * i * i / PI_SQUARED
+    return _e_phi_from_sum(s0, i)
+
+
+def _e_phi_from_sum(phi_sum: int, i: int) -> float:
+    return float(phi_sum) - 3.0 * i * i / PI_SQUARED
 
 
 def _e_r_from_prefix(second_prefix: int, i: int) -> float:
@@ -262,16 +265,23 @@ def e_r(table: TotientTable, i: int) -> float:
 def iter_error_terms(
     table: TotientTable, m_max: int, every: int = 1
 ) -> Iterator[tuple[int, int, float, float]]:
-    """Yield (m, Phi(m), e_phi(m), e_r(m)) for m = every, 2*every, ... <= m_max.
+    """Rows (m, Phi(m), e_phi(m), e_r(m)) for m = every, 2*every, ... <= m_max.
 
     Phi and the running second-order sum are carried exactly, so each e_r
     value matches the standalone e_r() to the last bit.  Unlike the point
-    queries, m_max is not bounded by 2^24, only by the table limit.
+    queries, m_max is not bounded by 2^24, only by the table limit.  The
+    arguments are checked at the call, before the first row is asked for.
     """
     m_max = _check_index(table, m_max, "m_max")
     every = as_int(every, "every")
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
+    return _error_term_rows(table, m_max, every)
+
+
+def _error_term_rows(
+    table: TotientTable, m_max: int, every: int
+) -> Iterator[tuple[int, int, float, float]]:
     phi_sum = 0
     second = 0
     for lo in range(1, m_max + 1, _CHUNK):
@@ -283,39 +293,4 @@ def iter_error_terms(
             m = lo + off
             second += value
             if m % every == 0:
-                yield (
-                    m,
-                    value,
-                    float(value) - 3.0 * m * m / PI_SQUARED,
-                    _e_r_from_prefix(second, m),
-                )
-
-
-def check_partial_summation(a: Sequence[float], b: Sequence[float]) -> bool:
-    """Verify Abel summation on concrete data.
-
-    Compares sum a_i b_i against A_N b_N - sum_{i<N} A_i (b_{i+1} - b_i)
-    with A_i the prefix sums of a.  True when the two sides agree to 1e-12
-    relative to the term-magnitude scale of either side; the right side's
-    scale uses prefix sums of |a|, since its terms can cancel where the
-    left side's are all zero.
-    """
-    if len(a) != len(b):
-        raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    n = len(a)
-    if n == 0:
-        raise ValueError("sequences must be nonempty")
-    av = [float(x) for x in a]
-    bv = [float(x) for x in b]
-
-    lhs = math.fsum(x * y for x, y in zip(av, bv))
-    prefix = list(accumulate(av))
-    rhs = prefix[-1] * bv[-1] - math.fsum(
-        prefix[i] * (bv[i + 1] - bv[i]) for i in range(n - 1)
-    )
-    abs_prefix = list(accumulate(abs(x) for x in av))
-    rhs_scale = abs_prefix[-1] * abs(bv[-1]) + math.fsum(
-        abs_prefix[i] * (abs(bv[i + 1]) + abs(bv[i])) for i in range(n - 1)
-    )
-    scale = max(1.0, math.fsum(abs(x * y) for x, y in zip(av, bv)), rhs_scale)
-    return abs(lhs - rhs) <= 1e-12 * scale
+                yield m, value, _e_phi_from_sum(value, m), _e_r_from_prefix(second, m)

@@ -5,6 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from gridcount import totient
 from gridcount.cli import main
 
 
@@ -27,10 +28,10 @@ class TestFq:
         r = run(runner, "fq", "--n", "3", "--q", "1", "--format", "csv")
         assert r.stdout == "3,1,56\n"
 
-    def test_direct_flag(self, runner):
-        fast = run(runner, "fq", "--n", "17", "--q", "2", "--format", "csv")
-        direct = run(runner, "fq", "--n", "17", "--q", "2", "--direct", "--format", "csv")
-        assert fast.stdout == direct.stdout
+    def test_direct_flag_rejected(self, runner):
+        r = run(runner, "fq", "--n", "17", "--q", "2", "--direct")
+        assert r.exit_code == 2
+        assert "No such option" in r.stderr
 
     def test_json_lines(self, runner):
         r = run(runner, "fq", "--n", "2", "--q", "1", "--format", "json-lines")
@@ -203,9 +204,179 @@ class TestErrorContract:
         assert r.stderr.startswith("error: resource-limit:")
 
     def test_max_grid_exits_1(self, runner):
-        r = run(runner, "fq", "--n", str(10**7 + 1), "--q", "1", "--direct")
+        r = run(runner, "fq", "--n", str(10**7 + 1), "--q", "1")
         assert r.exit_code == 1
         assert "resource-limit" in r.stderr
+
+    def test_zero_q_one_line_error(self, runner):
+        r = run(runner, "counts", "--n", "5", "--q", "0")
+        assert r.exit_code == 1
+        assert r.stderr == "error: invalid-argument: gcd class q must be >= 1, got 0\n"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("fq", "--n", "20000000", "--q", "1"),
+            ("counts", "--n", "20000000", "--q", "1"),
+            ("counts", "--n", "20000000", "--q", "3"),
+            ("threshold", "--n", "20000000"),
+            ("scan", "--q", "1", "--n-start", "20000000", "--n-end", "20000000"),
+        ],
+    )
+    def test_grid_cap_checked_before_sieving(self, runner, monkeypatch, args):
+        sieved = []
+        monkeypatch.setattr(totient, "build_totient_table", sieved.append)
+        r = run(runner, *args)
+        assert sieved == []
+        assert r.exit_code == 1
+        assert r.stderr == (
+            "error: resource-limit: grid side 20000000 exceeds the supported"
+            " maximum 10000000\n"
+        )
+
+
+class TestPinnedBytes:
+    """Exact stdout of each subcommand in every format, on small inputs.
+
+    No ``scan --fit`` here: its digits come from np.polyfit, which may
+    differ in the last places between platforms.
+    """
+
+    PINNED = {
+        "fq --n 5 --q 2": {
+            "table": (
+                '120\n'
+            ),
+            "csv": (
+                '5,2,120\n'
+            ),
+            "json-lines": (
+                '{"n": 5, "q": 2, "f": 120}\n'
+            ),
+        },
+        "counts --n 3 --q 1": {
+            "table": (
+                'n  q   f  segments  lines_at_least  lines_exactly\n'
+                '3  1  56        28                               \n'
+            ),
+            "csv": (
+                '3,1,56,28,,\n'
+            ),
+            "json-lines": (
+                '{"n": 3, "q": 1, "f": 56, "segments": 28, "lines_at_least": null, "lines_exactly": null}\n'
+            ),
+        },
+        "counts --n 3 --q 2": {
+            "table": (
+                'n  q   f  segments  lines_at_least  lines_exactly\n'
+                '3  2  16         8              20             12\n'
+            ),
+            "csv": (
+                '3,2,16,8,20,12\n'
+            ),
+            "json-lines": (
+                '{"n": 3, "q": 2, "f": 16, "segments": 8, "lines_at_least": 20, "lines_exactly": 12}\n'
+            ),
+        },
+        "oracle --n 4 --threshold": {
+            "table": (
+                'lines through exactly p grid points\n'
+                'n  p  lines\n'
+                '4  2     48\n'
+                '4  3      4\n'
+                '4  4     10\n'
+                '\n'
+                'segments covering exactly p grid points\n'
+                'n  p  segments\n'
+                '4  2        86\n'
+                '4  3        24\n'
+                '4  4        10\n'
+                '\n'
+                'threshold dichotomies: 174\n'
+            ),
+            "csv": (
+                '# lines\n'
+                '4,2,48\n'
+                '4,3,4\n'
+                '4,4,10\n'
+                '# segments\n'
+                '4,2,86\n'
+                '4,3,24\n'
+                '4,4,10\n'
+                '# threshold\n'
+                '4,174\n'
+            ),
+            "json-lines": (
+                '{"n": 4, "p": 2, "lines": 48}\n'
+                '{"n": 4, "p": 3, "lines": 4}\n'
+                '{"n": 4, "p": 4, "lines": 10}\n'
+                '{"n": 4, "p": 2, "segments": 86}\n'
+                '{"n": 4, "p": 3, "segments": 24}\n'
+                '{"n": 4, "p": 4, "segments": 10}\n'
+                '{"n": 4, "t": 174}\n'
+            ),
+        },
+        "errterms --m-max 12 --every 5": {
+            "table": (
+                ' m  phi_sum             e_phi              e_r\n'
+                ' 5       10  2.40091122682467  2.4824603124266\n'
+                '10       32  1.60364490729867  2.7758553467492\n'
+            ),
+            "csv": (
+                '5,10,2.40091122682467,2.4824603124266\n'
+                '10,32,1.60364490729867,2.7758553467492\n'
+            ),
+            "json-lines": (
+                '{"m": 5, "phi_sum": 10, "e_phi": 2.40091122682467, "e_r": 2.4824603124266}\n'
+                '{"m": 10, "phi_sum": 32, "e_phi": 1.60364490729867, "e_r": 2.7758553467492}\n'
+            ),
+        },
+        "threshold --n 3": {
+            "table": (
+                '58\n'
+            ),
+            "csv": (
+                '3,58\n'
+            ),
+            "json-lines": (
+                '{"n": 3, "t": 58}\n'
+            ),
+        },
+        "scan --q 1 --n-start 2 --n-end 64 --geometric": {
+            "table": (
+                ' n  q     exact              main          residual            normalized\n'
+                ' 2  1        12  9.72683362966443  2.27316637033557     0.142072898145973\n'
+                ' 4  1       172  155.629338074631  16.3706619253692    0.0639478981459733\n'
+                ' 8  1      2564  2490.06940919409  73.9305908059068    0.0180494606459733\n'
+                '16  1     40148  39841.1105471055  306.889452894509   0.00468276142722335\n'
+                '32  1    638692  637457.768753688  1234.23124631215   0.00117705464011397\n'
+                '64  1  10205236   10199324.300059  5911.69994099438  0.000352364775001668\n'
+            ),
+            "csv": (
+                '2,1,12,9.72683362966443,2.27316637033557,0.142072898145973\n'
+                '4,1,172,155.629338074631,16.3706619253692,0.0639478981459733\n'
+                '8,1,2564,2490.06940919409,73.9305908059068,0.0180494606459733\n'
+                '16,1,40148,39841.1105471055,306.889452894509,0.00468276142722335\n'
+                '32,1,638692,637457.768753688,1234.23124631215,0.00117705464011397\n'
+                '64,1,10205236,10199324.300059,5911.69994099438,0.000352364775001668\n'
+            ),
+            "json-lines": (
+                '{"n": 2, "q": 1, "exact": 12, "main": 9.72683362966443, "residual": 2.27316637033557, "normalized": 0.142072898145973}\n'
+                '{"n": 4, "q": 1, "exact": 172, "main": 155.629338074631, "residual": 16.3706619253692, "normalized": 0.0639478981459733}\n'
+                '{"n": 8, "q": 1, "exact": 2564, "main": 2490.06940919409, "residual": 73.9305908059068, "normalized": 0.0180494606459733}\n'
+                '{"n": 16, "q": 1, "exact": 40148, "main": 39841.1105471055, "residual": 306.889452894509, "normalized": 0.00468276142722335}\n'
+                '{"n": 32, "q": 1, "exact": 638692, "main": 637457.768753688, "residual": 1234.23124631215, "normalized": 0.00117705464011397}\n'
+                '{"n": 64, "q": 1, "exact": 10205236, "main": 10199324.300059, "residual": 5911.69994099438, "normalized": 0.000352364775001668}\n'
+            ),
+        },
+    }
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json-lines"])
+    @pytest.mark.parametrize("args", sorted(PINNED))
+    def test_stdout(self, runner, args, fmt):
+        r = run(runner, *args.split(), "--format", fmt)
+        assert r.exit_code == 0
+        assert r.stdout == "".join(self.PINNED[args][fmt])
 
 
 class TestReproducibility:

@@ -268,3 +268,11 @@ class TestTableLimitFor:
         assert table_limit_for(10, 2, lines=True) == 9
         assert table_limit_for(10, 3, lines=True) == 4
         assert table_limit_for(10, 1, lines=False) == 9
+
+    def test_validates_before_sizing(self):
+        with pytest.raises(ValueError, match="gcd class q must be >= 1, got 0"):
+            table_limit_for(5, 0)
+        with pytest.raises(ValueError, match="grid side n must be >= 1"):
+            table_limit_for(0, 1, lines=True)
+        with pytest.raises(ResourceLimitError, match="supported maximum"):
+            table_limit_for(10**11, 1)

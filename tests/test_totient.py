@@ -1,22 +1,18 @@
-"""Totient table, summatory function, error terms, partial summation."""
+"""Totient table, summatory function, error terms."""
 
 import dataclasses
 import math
-import random
 import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from gridcount import totient
 from gridcount import (
     PI_SQUARED,
     ResourceLimitError,
     build_totient_table,
-    check_partial_summation,
     e_phi,
     e_r,
     iter_error_terms,
@@ -243,6 +239,14 @@ class TestIterErrorTerms:
         with pytest.raises(ValueError):
             list(iter_error_terms(table100, 10, every=0))
 
+    @pytest.mark.parametrize(
+        "m_max, every, exc",
+        [(0, 1, ValueError), (200, 1, ValueError), (10, 0, ValueError), (10, True, TypeError)],
+    )
+    def test_bad_args_raise_at_the_call(self, table100, m_max, every, exc):
+        with pytest.raises(exc):
+            iter_error_terms(table100, m_max, every=every)
+
 
 class TestIntegerArguments:
     @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
@@ -275,47 +279,3 @@ class TestIntegerArguments:
             list(iter_error_terms(table100, 10, every=True))
         with pytest.raises(TypeError):
             list(iter_error_terms(table100, 10.0))
-
-
-class TestPartialSummation:
-    def test_single_term(self):
-        assert check_partial_summation([1.0], [5.0])
-
-    def test_constant_b(self):
-        assert check_partial_summation([1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-
-    def test_totient_weighted_squares(self, table100):
-        a = [float(table100.phi[i]) for i in range(1, 11)]
-        b = [float(i * i) for i in range(1, 11)]
-        assert check_partial_summation(a, b)
-
-    def test_thousand_random_sequences(self):
-        rng = random.Random(20260819)
-        for _ in range(1000):
-            n = rng.randint(1, 64)
-            a = [rng.uniform(-10, 10) for _ in range(n)]
-            b = [rng.uniform(-10, 10) for _ in range(n)]
-            assert check_partial_summation(a, b)
-
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-100, 100, allow_nan=False),
-                st.floats(-100, 100, allow_nan=False),
-            ),
-            min_size=1,
-            max_size=64,
-        )
-    )
-    @example([(92.0, 0.0), (0.0, 49.19171764007629), (0.0, -40.17744843210911)])
-    @settings(max_examples=200)
-    def test_property(self, pairs):
-        a = [p[0] for p in pairs]
-        b = [p[1] for p in pairs]
-        assert check_partial_summation(a, b)
-
-    def test_bad_input(self):
-        with pytest.raises(ValueError):
-            check_partial_summation([], [])
-        with pytest.raises(ValueError):
-            check_partial_summation([1.0], [1.0, 2.0])

@@ -46,19 +46,23 @@ class CanonicalLine:
             raise ValueError("sign not canonical: need a > 0, or a = 0 and b > 0")
 
 
+def _line_key(px: int, py: int, qx: int, qy: int) -> tuple[int, int, int]:
+    """(a, b, c) of the canonical line through (px, py) != (qx, qy)."""
+    a = qy - py
+    b = px - qx
+    c = -(a * px + b * py)
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b, -c
+    return a, b, c
+
+
 def canonical_line(p: Point, q: Point) -> CanonicalLine:
     """The unique CanonicalLine through two distinct points."""
     if p == q:
         raise ValueError(f"points must be distinct, got {p} twice")
-    (px, py), (qx, qy) = p, q
-    a = qy - py
-    b = px - qx
-    c = -(a * px + b * py)
-    g = math.gcd(math.gcd(abs(a), abs(b)), abs(c))
-    a, b, c = a // g, b // g, c // g
-    if a < 0 or (a == 0 and b < 0):
-        a, b, c = -a, -b, -c
-    return CanonicalLine(a, b, c)
+    return CanonicalLine(*_line_key(*p, *q))
 
 
 @dataclass(frozen=True)
@@ -88,23 +92,36 @@ def _grid_points(n: int) -> list[Point]:
     return [(x, y) for x in range(n) for y in range(n)]
 
 
+def _points_on_line(pairs: int) -> int:
+    """The p with C(p, 2) == pairs: a line through p points holds that many."""
+    p = (1 + math.isqrt(1 + 8 * pairs)) // 2
+    if p * (p - 1) // 2 != pairs:
+        raise ArithmeticError(f"{pairs} pairs on one line is not C(p, 2) for any p")
+    return p
+
+
 def oracle_line_histogram(n: int, force: bool = False) -> LineHistogram:
-    """Enumerate every line through >= 2 grid points and bucket by occupancy."""
+    """Enumerate every line through >= 2 grid points and bucket by occupancy.
+
+    Each unordered point pair is counted under its line's key; a line
+    through p grid points collects exactly C(p, 2) pairs, which gives p back.
+    """
     _check_grid(n, ORACLE_GRID_LIMIT, force)
-    points: dict[CanonicalLine, set[Point]] = {}
-    for p, q in combinations(_grid_points(n), 2):
-        points.setdefault(canonical_line(p, q), set()).update((p, q))
-    counts = Counter(len(s) for s in points.values())
+    pairs = Counter(
+        _line_key(px, py, qx, qy)
+        for (px, py), (qx, qy) in combinations(_grid_points(n), 2)
+    )
+    counts = Counter(_points_on_line(k) for k in pairs.values())
     return LineHistogram(n=n, counts=dict(sorted(counts.items())))
 
 
 @lru_cache(maxsize=None)
 def _difference_gcd_census(n: int) -> Counter:
     """Histogram of gcd(|dx|, |dy|) over unordered grid point pairs."""
-    census: Counter = Counter()
-    for (px, py), (qx, qy) in combinations(_grid_points(n), 2):
-        census[math.gcd(qx - px, qy - py)] += 1
-    return census
+    gcd = math.gcd
+    return Counter(
+        gcd(qx - px, qy - py) for (px, py), (qx, qy) in combinations(_grid_points(n), 2)
+    )
 
 
 def oracle_segments(n: int, p: int, force: bool = False) -> int:
@@ -122,11 +139,29 @@ def oracle_segments(n: int, p: int, force: bool = False) -> int:
 def oracle_threshold_count(n: int, force: bool = False) -> int:
     """Linear threshold dichotomies of the n x n grid, counted as bitmasks.
 
-    Every dichotomy d(x, y) = [a1 x + a2 y + b > 0] is realized with an
-    integer normal bounded by the grid and a threshold strictly between two
-    adjacent projection values, so enumerating those plus the two constant
-    dichotomies covers them all.  Each dichotomy becomes a bitmask over the
-    n^2 points; the answer is the number of distinct masks.
+    A dichotomy is the set {(x, y) : a1 x + a2 y > b} for a real normal
+    (a1, a2) and threshold b; each becomes a bitmask over the n^2 points,
+    and the answer is the number of distinct masks.  Integer normals with
+    coordinates in [-2(n - 1), 2(n - 1)] realise them all:
+
+    Call a direction critical when it is perpendicular to the difference of
+    two grid points; it is then a multiple of an integer normal with
+    coordinates in [-(n - 1), n - 1], and with n >= 2 the critical
+    directions include both signs of at least two such normals, so adjacent
+    ones are less than pi apart.  Between two adjacent critical directions
+    u and v no two points share a projection, so the projection order is
+    one fixed strict order on that open arc, and u + v, which has
+    coordinates in [-2(n - 1), 2(n - 1)], lies strictly inside it.  A
+    non-constant dichotomy realised at a critical direction survives a
+    small enough turn of its normal, since once b is moved off every
+    projection the finitely many strict inequalities keep a margin.  So
+    every one is realised on some open arc, where it is a proper prefix (or
+    suffix) of that arc's order, and hence at the arc's u + v.  Prefixes
+    under -w are suffixes under w and the range of normals is symmetric, so
+    recording, for every normal, each prefix of the projection order that
+    ends between two distinct levels, plus the two constant dichotomies,
+    finds every dichotomy and nothing else.  For n = 1 there is no normal
+    to try, and the two constant dichotomies are all there is.
     """
     if n < 1:
         raise ValueError(f"grid side must be >= 1, got {n}")
@@ -136,18 +171,16 @@ def oracle_threshold_count(n: int, force: bool = False) -> int:
             " pass force to lift"
         )
     points = _grid_points(n)
-    full = (1 << len(points)) - 1
-    masks = {0, full}
-    for a1 in range(-(n - 1), n):
-        for a2 in range(-(n - 1), n):
+    masks = {0, (1 << len(points)) - 1}
+    r = 2 * (n - 1)
+    for a1 in range(-r, r + 1):
+        for a2 in range(-r, r + 1):
             if a1 == 0 and a2 == 0:
                 continue
-            levels = sorted({a1 * x + a2 * y for x, y in points})
-            for lo, hi in zip(levels, levels[1:]):
-                s = lo + hi  # threshold at the midpoint, doubled to stay integral
-                mask = 0
-                for k, (x, y) in enumerate(points):
-                    if 2 * (a1 * x + a2 * y) > s:
-                        mask |= 1 << k
-                masks.add(mask)
+            ranked = sorted((a1 * x + a2 * y, k) for k, (x, y) in enumerate(points))
+            prefix = 0
+            for (level, k), (next_level, _) in zip(ranked, ranked[1:]):
+                prefix |= 1 << k
+                if level != next_level:
+                    masks.add(prefix)
     return len(masks)

@@ -98,6 +98,18 @@ def _primes_upto(n: int) -> list[int]:
     return np.flatnonzero(is_prime).tolist()
 
 
+def check_sieve_limit(limit: int) -> None:
+    """Raise unless build_totient_table may sieve to limit: 1 <= limit <= budget."""
+    if limit < 1:
+        raise ValueError(f"sieve limit must be >= 1, got {limit}")
+    cap = sieve_budget()
+    if limit > cap:
+        raise ResourceLimitError(
+            f"sieve limit {limit} exceeds budget {cap}"
+            f" (raise it via {SIEVE_BUDGET_ENV})"
+        )
+
+
 def build_totient_table(limit: int) -> TotientTable:
     """Sieve phi(1..limit).
 
@@ -114,15 +126,7 @@ def build_totient_table(limit: int) -> TotientTable:
     int32 block temporaries, at most 4 + 1/2 bytes per entry from
     limit = 2^20 on.
     """
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    cap = sieve_budget()
-    if limit > cap:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds budget {cap}"
-            f" (raise it via {SIEVE_BUDGET_ENV})"
-        )
-
+    check_sieve_limit(limit)
     dtype = np.int64 if limit >= 2**31 else np.int32
     steps = []
     for p in _primes_upto(math.isqrt(limit)):
@@ -273,10 +277,15 @@ def iter_error_terms(
     arguments are checked at the call, before the first row is asked for.
     """
     m_max = _check_index(table, m_max, "m_max")
+    return _error_term_rows(table, m_max, check_every(every))
+
+
+def check_every(every: object) -> int:
+    """The row stride of iter_error_terms as an int, or raise unless >= 1."""
     every = as_int(every, "every")
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
-    return _error_term_rows(table, m_max, every)
+    return every
 
 
 def _error_term_rows(

@@ -235,6 +235,38 @@ class TestErrorContract:
         )
 
 
+    @pytest.mark.parametrize(
+        "args, env, stderr",
+        [
+            (
+                ("--m-max", "10000000", "--every", "0"),
+                {},
+                "error: invalid-argument: every must be >= 1, got 0\n",
+            ),
+            (
+                ("--m-max", "0", "--every", "0"),
+                {},
+                "error: invalid-argument: --m-max must be >= 1, got 0\n",
+            ),
+            (
+                ("--m-max", "1000", "--every", "-1"),
+                {"GRIDCOUNT_SIEVE_LIMIT": "100"},
+                "error: resource-limit: sieve limit 1000 exceeds budget 100"
+                " (raise it via GRIDCOUNT_SIEVE_LIMIT)\n",
+            ),
+        ],
+        ids=["every", "m-max-first", "budget-first"],
+    )
+    def test_every_checked_before_sieving(self, runner, monkeypatch, args, env, stderr):
+        # m_max is reported first, then the sieve budget, then the stride
+        def refuse(limit):
+            raise RuntimeError(f"sieved to {limit}")
+
+        monkeypatch.setattr(totient, "build_totient_table", refuse)
+        r = run(runner, "errterms", *args, env=env)
+        assert r.exit_code == 1
+        assert r.stderr == stderr
+
 class TestPinnedBytes:
     """Exact stdout of each subcommand in every format, on small inputs.
 

@@ -1,6 +1,10 @@
 """Brute-force oracles: canonical lines, histograms, thresholds."""
 
+import ast
 import math
+from collections import Counter
+from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +14,12 @@ from gridcount import (
     CanonicalLine,
     ResourceLimitError,
     canonical_line,
+    oracle,
     oracle_line_histogram,
     oracle_segments,
     oracle_threshold_count,
 )
+from gridcount.oracle import _line_key, _points_on_line
 
 coord = st.integers(-50, 50)
 point = st.tuples(coord, coord)
@@ -71,8 +77,38 @@ class TestCanonicalLine:
         for x, y in (p, q):
             assert line.a * x + line.b * y + line.c == 0
 
+    @given(p=point, q=point)
+    @settings(max_examples=300)
+    def test_line_key_is_the_validated_line(self, p, q):
+        # canonical_line builds CanonicalLine, so its __post_init__ checks
+        # pass on every key the line oracle counts under
+        if p == q:
+            return
+        line = canonical_line(p, q)
+        assert (line.a, line.b, line.c) == _line_key(*p, *q)
+
+
+def line_histogram_by_point_sets(n):
+    """The set-based line oracle: points gathered per canonical line."""
+    grid = [(x, y) for x in range(n) for y in range(n)]
+    points = {}
+    for p, q in combinations(grid, 2):
+        points.setdefault(canonical_line(p, q), set()).update((p, q))
+    return dict(sorted(Counter(len(s) for s in points.values()).items()))
+
 
 class TestLineHistogram:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_point_sets(self, n):
+        assert oracle_line_histogram(n).counts == line_histogram_by_point_sets(n)
+
+    def test_points_from_pair_count(self):
+        for p in range(2, 60):
+            assert _points_on_line(math.comb(p, 2)) == p
+        for pairs in (2, 4, 5, 7, 9, 44):
+            with pytest.raises(ArithmeticError):
+                _points_on_line(pairs)
+
     def test_n2(self):
         hist = oracle_line_histogram(2)
         assert hist.counts == {2: 6}
@@ -126,7 +162,29 @@ class TestSegments:
             oracle_segments(30, 2)
 
 
+def threshold_count_by_scan(n):
+    """Midpoint thresholds for integer normals with coordinates below n."""
+    grid = [(x, y) for x in range(n) for y in range(n)]
+    masks = {0, (1 << len(grid)) - 1}
+    for a1 in range(-(n - 1), n):
+        for a2 in range(-(n - 1), n):
+            if a1 == 0 and a2 == 0:
+                continue
+            levels = sorted({a1 * x + a2 * y for x, y in grid})
+            for lo, hi in zip(levels, levels[1:]):
+                mask = 0
+                for k, (x, y) in enumerate(grid):
+                    if 2 * (a1 * x + a2 * y) > lo + hi:
+                        mask |= 1 << k
+                masks.add(mask)
+    return len(masks)
+
+
 class TestThreshold:
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_matches_midpoint_scan(self, n):
+        assert oracle_threshold_count(n, force=True) == threshold_count_by_scan(n)
+
     def test_known(self):
         assert oracle_threshold_count(1) == 2
         assert oracle_threshold_count(2) == 14
@@ -145,3 +203,18 @@ class TestThreshold:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             oracle_threshold_count(0)
+
+
+def test_oracle_imports_no_counting_code():
+    # the oracles check the fast path only while they share none of it
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+    fast = {"counts", "totient", "asympt"}
+    assert not fast & imported, imported
+    assert not fast & set(vars(oracle))

@@ -53,9 +53,8 @@ from .oracle import (
     oracle_threshold_count,
 )
 from .totient import (
-    DEFAULT_SIEVE_BUDGET,
     PI_SQUARED,
-    SIEVE_BUDGET_ENV,
+    SIEVE_LIMIT,
     TotientTable,
     build_totient_table,
     e_phi,
@@ -69,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CanonicalLine",
     "CountSet",
-    "DEFAULT_SIEVE_BUDGET",
     "GridQuery",
     "LemmaDecomposition",
     "LineHistogram",
@@ -79,7 +77,7 @@ __all__ = [
     "RH_EXPONENT",
     "ResourceLimitError",
     "RhReport",
-    "SIEVE_BUDGET_ENV",
+    "SIEVE_LIMIT",
     "ScanRow",
     "SlopeFit",
     "THRESHOLD_GRID_LIMIT",

@@ -12,12 +12,14 @@ diagnostic for finite data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .counts import GridQuery, f_fast, f_from_moments
+from .errors import ResourceLimitError
 from .totient import PI_SQUARED, TotientTable, as_int, totient_moments
 
 RH_EXPONENT = 2.5
@@ -62,12 +64,23 @@ class RhReport:
     note: str
 
 
+def _n4_term(n: int, coeff: float, divisor: float, factor: float = 1.0) -> float:
+    """coeff * n^4 / divisor * factor in that order, or raise if it overflows a float."""
+    try:
+        value = coeff * n**4 / divisor * factor
+    except OverflowError:  # n^4 itself has no float
+        value = math.inf
+    if not math.isfinite(value):
+        raise ResourceLimitError(f"main term at grid side {n} exceeds the float range")
+    return value
+
+
 def main_term_f(n: int, q: int) -> float:
     """Leading term of f_q(n): 6 n^4 / (pi^2 q^2)."""
     n, q = as_int(n, "grid side n"), as_int(q, "gcd class q")
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-    return 6.0 * n**4 / (PI_SQUARED * q * q)
+    return _n4_term(n, 6.0, PI_SQUARED * q * q)
 
 
 def main_term_segments(n: int, q: int) -> float:
@@ -80,7 +93,7 @@ def main_term_lines_ge(n: int, q: int) -> float:
     n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if n < 1 or q < 2:
         raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
-    return 3.0 * n**4 / PI_SQUARED * (1.0 / (q - 1) ** 2 - 1.0 / q**2)
+    return _n4_term(n, 3.0, PI_SQUARED, 1.0 / (q - 1) ** 2 - 1.0 / q**2)
 
 
 def main_term_lines_eq(n: int, q: int) -> float:
@@ -89,7 +102,7 @@ def main_term_lines_eq(n: int, q: int) -> float:
     if n < 1 or q < 2:
         raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
     bracket = 1.0 / (q + 1) ** 2 - 2.0 / q**2 + 1.0 / (q - 1) ** 2
-    return 3.0 * n**4 / PI_SQUARED * bracket
+    return _n4_term(n, 3.0, PI_SQUARED, bracket)
 
 
 def residual(n: int, q: int, table: TotientTable) -> float:

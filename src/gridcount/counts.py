@@ -19,7 +19,9 @@ difference never matches any q >= 1.
 Every fast count goes through one kernel, totient_moments (defined in the
 totient module, next to the table it reads), which returns the exact
 weighted totient moments S_k(m) = sum_{i<=m} i^k phi(i) for k = 0, 1, 2
-at a nondecreasing list of m in a single pass over the table.
+at a nondecreasing list of m in a single pass over the table, exactly
+for every m up to the sieve's cap.  Only decompose_lemma, the independent
+reference the kernel is checked against, reads phi itself.
 """
 
 from __future__ import annotations
@@ -28,14 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ResourceLimitError
-from .totient import (
-    MOMENT_INDEX_LIMIT,
-    Moments,
-    TotientTable,
-    _check_table,
-    as_int,
-    totient_moments,
-)
+from .totient import Moments, TotientTable, _check_table, as_int, totient_moments
 
 #: largest accepted grid side; beyond this the sieve alone is unreasonable
 MAX_GRID_N = 10**7
@@ -127,10 +122,7 @@ def f_fast(query: GridQuery, table: TotientTable) -> int:
                = 4 (2n^2 S_0(m) - 3nq S_1(m) + q^2 S_2(m))
 
     since (n - qi)(2n - qi) = 2n^2 - 3nq i + q^2 i^2.  The moments come from
-    totient_moments in int64 limbs: for m < 2^24 every term is below 2^48
-    and every block of 2^14 terms below 2^62, so nothing wraps; every
-    accepted query has m < MAX_GRID_N = 10^7.  About 0.05 s at n = 10^7, q = 1, on
-    a 2-core x86-64 VM with Python 3.11 and numpy 2.4.
+    totient_moments, exact for every accepted query (m < MAX_GRID_N = 10^7).
     """
     n, q = query.n, query.q
     (moments,) = totient_moments(table, [(n - 1) // q])

@@ -1,4 +1,4 @@
-"""Euler totient sieve, its moment kernel, and second-order error terms.
+"""Euler totient sieve, the moment walk over it, and second-order error terms.
 
 The table produced here, phi(i) for all i up to a limit, backs every fast
 counting routine in the package through one exact kernel, totient_moments,
@@ -10,17 +10,20 @@ growth diagnostics,
     e_phi(i) = Phi(i) - 3 i^2 / pi^2
     e_r(i)   = sum_{j<=i} e_phi(j) - 3 i^2 / (2 pi^2)
 
-both reported as floats while all integer parts stay exact.
+both reported as floats while all integer parts stay exact.  The kernel,
+the point queries and the error-term stream all read phi through one
+private walk, exact for every index up to SIEVE_LIMIT, the one cap on the
+sieve and on every moment index.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -28,29 +31,24 @@ from .errors import ResourceLimitError
 
 PI_SQUARED = math.pi**2
 
-#: Hard ceiling on sieve size unless GRIDCOUNT_SIEVE_LIMIT overrides it.
-DEFAULT_SIEVE_BUDGET = 100_000_000
-SIEVE_BUDGET_ENV = "GRIDCOUNT_SIEVE_LIMIT"
+#: Largest sieve limit, and so the largest index any moment sum reads.
+SIEVE_LIMIT = 10**8
 
 # Emitted floats are compared across runs, so the doubled constant is built
 # once; Fraction(float) is exact, keeping e_r rounding to a single step.
 _TWO_PI_SQUARED = Fraction(2.0 * PI_SQUARED)
 
-# Slice size when walking numpy arrays with Python-int arithmetic.
-_CHUNK = 1 << 16
-
 # Smallest sieve block, in entries: below it the per-step numpy calls of
 # build_totient_table cost more than the strided arithmetic they do.
 _SIEVE_BLOCK = 1 << 16
 
-#: totient_moments is exact for every m below this (see its docstring)
-MOMENT_INDEX_LIMIT = 1 << 24
-
-# For i < 2^24, i*phi(i) < 2^48.  Splitting it into 24-bit limbs keeps
-# i * limb < 2^48 too, so a block of 2^14 terms sums below 2^62 in int64.
-_LIMB_BITS = 24
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
-_BLOCK = 1 << 14
+# The walk splits indices as i = b + j with 0 <= j < _ROW.  For i <=
+# SIEVE_LIMIT < 2^27, phi(i) < 2^27 and j^2 < 2^22, so each of a row's
+# sums of j^k phi(b + j), k <= 2, stays below 2^60 in int64.  Rows with no
+# requested m are reduced _ROWS at a time, one matrix product per batch.
+_ROW = 1 << 11
+_ROWS = 8
+_POWERS = np.arange(_ROW, dtype=np.int64)[:, None] ** np.arange(3)
 
 Moments = tuple[int, int, int]
 
@@ -60,20 +58,6 @@ def as_int(value: object, what: str) -> int:
     if isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
     return operator.index(value)
-
-
-def sieve_budget() -> int:
-    """Current sieve budget: the env override if set, else the default."""
-    raw = os.environ.get(SIEVE_BUDGET_ENV)
-    if raw is None:
-        return DEFAULT_SIEVE_BUDGET
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{SIEVE_BUDGET_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{SIEVE_BUDGET_ENV} must be positive, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -99,15 +83,11 @@ def _primes_upto(n: int) -> list[int]:
 
 
 def check_sieve_limit(limit: int) -> None:
-    """Raise unless build_totient_table may sieve to limit: 1 <= limit <= budget."""
+    """Raise unless build_totient_table may sieve to limit: 1 <= limit <= SIEVE_LIMIT."""
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
-    cap = sieve_budget()
-    if limit > cap:
-        raise ResourceLimitError(
-            f"sieve limit {limit} exceeds budget {cap}"
-            f" (raise it via {SIEVE_BUDGET_ENV})"
-        )
+    if limit > SIEVE_LIMIT:
+        raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_LIMIT}")
 
 
 def build_totient_table(limit: int) -> TotientTable:
@@ -121,13 +101,11 @@ def build_totient_table(limit: int) -> TotientTable:
     that part itself.  The quotient i // smooth is then 1 or the single
     large prime P, and multiplying by P - 1 finishes phi(i).  Indices are
     walked in blocks of max(2^16, limit / 16) entries, so the strided
-    multiplications stay inside one block-sized slice of the table.  Below
-    2^31 the peak allocation is the table's 4 bytes per entry plus two
-    int32 block temporaries, at most 4 + 1/2 bytes per entry from
-    limit = 2^20 on.
+    multiplications stay inside one block-sized slice of the table.  The
+    peak allocation is the table's 4 bytes per entry plus two int32 block
+    temporaries, at most 4 + 1/2 bytes per entry from limit = 2^20 on.
     """
     check_sieve_limit(limit)
-    dtype = np.int64 if limit >= 2**31 else np.int32
     steps = []
     for p in _primes_upto(math.isqrt(limit)):
         power, mult = p, p - 1
@@ -136,10 +114,10 @@ def build_totient_table(limit: int) -> TotientTable:
             power, mult = power * p, p
     steps.sort()
 
-    phi = np.empty(limit + 1, dtype=dtype)
+    phi = np.empty(limit + 1, dtype=np.int32)
     phi[0] = 0
     size = max(_SIEVE_BLOCK, limit >> 4)
-    smooth_buf = np.empty(min(size, limit), dtype=dtype)
+    smooth_buf = np.empty(min(size, limit), dtype=np.int32)
     # index 0 never takes a step: every p^k divides it, and the product in
     # ``smooth`` would wrap without a warning
     for lo in range(1, limit + 1, size):
@@ -154,7 +132,7 @@ def build_totient_table(limit: int) -> TotientTable:
             start = -lo % power
             block[start::power] *= mult
             smooth[start::power] *= p
-        large = np.arange(lo, hi, dtype=dtype)
+        large = np.arange(lo, hi, dtype=np.int32)
         large //= smooth
         large -= 1
         np.maximum(large, 1, out=large)
@@ -166,60 +144,69 @@ def build_totient_table(limit: int) -> TotientTable:
 
 
 def _check_table(table: TotientTable, needed: int) -> None:
+    """Raise unless phi may be read up to index needed, which the walk sums exactly."""
+    if needed > SIEVE_LIMIT:
+        raise ResourceLimitError(
+            f"moment index {needed} exceeds the sieve limit {SIEVE_LIMIT}"
+        )
     if table.limit < needed:
         raise ValueError(
             f"totient table limit {table.limit} too small, need at least {needed}"
         )
 
 
-def _moment_sums(phi: np.ndarray, lo: int, hi: int) -> Moments:
-    """Exact sums of phi(i), i phi(i), i^2 phi(i) over lo <= i < hi <= 2^24."""
+def _walk(
+    table: TotientTable, ms: Sequence[int]
+) -> Iterator[tuple[Sequence[int], int, Moments, list[list[int]]]]:
+    """One pass over phi for the nondecreasing ms, one item per row that holds some.
+
+    phi is read in rows i = b + j, 0 <= j < _ROW, whose sums
+    A_k = sum_j j^k phi(b + j) are exact in int64.  Each item is (run, b,
+    (S_0, S_1, S_2) over i < b, [A_0, A_1, A_2] up to each m of run), and a
+    caller folds them as S_0 + A_0, S_1 + b A_0 + A_1 and
+    S_2 + b^2 A_0 + 2 b A_1 + A_2.  Rows below the next m are reduced
+    _ROWS at a time; the row holding an m is summed cumulatively.  Nothing
+    past max(ms) is read, and m = 0 reads nothing.  The caller checks ms
+    against the table (_check_table).
+    """
+    phi = table.phi
+    i = bisect_right(ms, 0)
+    if i:
+        yield ms[:i], 0, (0, 0, 0), [[0] * i] * 3
     s0 = s1 = s2 = 0
-    for start in range(lo, hi, _BLOCK):
-        stop = min(start + _BLOCK, hi)
-        i = np.arange(start, stop, dtype=np.int64)
-        p = phi[start:stop].astype(np.int64)
-        ip = i * p
-        s0 += int(p.sum())
-        s1 += int(ip.sum())
-        s2 += (int((i * (ip >> _LIMB_BITS)).sum()) << _LIMB_BITS) + int(
-            (i * (ip & _LIMB_MASK)).sum()
-        )
-    return s0, s1, s2
+    done = 0  # indices below done are folded into s0, s1, s2
+    while i < len(ms):
+        b = ms[i] - ms[i] % _ROW
+        k = bisect_left(ms, b + _ROW, i)
+        for lo in range(done, b, _ROW * _ROWS):
+            rows = phi[lo : min(lo + _ROW * _ROWS, b)].reshape(-1, _ROW)
+            for r, (a0, a1, a2) in zip(range(lo, b, _ROW), (rows @ _POWERS).tolist()):
+                s0, s1, s2 = s0 + a0, s1 + r * a0 + a1, s2 + (r * a0 + 2 * a1) * r + a2
+        done = b
+        row = phi[b : ms[k - 1] + 1]
+        prefix = np.cumsum(row * _POWERS[: len(row)].T, axis=1)
+        yield ms[i:k], b, (s0, s1, s2), prefix[:, np.subtract(ms[i:k], b)].tolist()
+        i = k
 
 
 def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
     """(S_0(m), S_1(m), S_2(m)) with S_k(m) = sum_{i<=m} i^k phi(i), per m.
 
-    ``ms`` must be nondecreasing; the table is walked once, block by block.
-    Terms are summed exactly in int64 limbs: for m < 2^24 each of
-    phi(i), i phi(i) and i times a 24-bit half of i phi(i) is below 2^48, so
-    a block of 2^14 of them stays below 2^62, and block sums are combined
-    as Python ints.  m >= MOMENT_INDEX_LIMIT raises ResourceLimitError
-    before the table is read.
+    ``ms`` must be nondecreasing; the table is walked once (_walk), and
+    every sum is exact.  m > SIEVE_LIMIT raises ResourceLimitError before
+    the table is read, whatever the table's own limit.
     """
-    ms = list(ms)
+    ms = [operator.index(m) for m in ms]  # numpy ints would wrap in the fold
     if any(b < a for a, b in zip(ms, ms[1:])):
         raise ValueError("m values must be nondecreasing")
     if ms and ms[0] < 0:
         raise ValueError(f"m must be >= 0, got {ms[0]}")
-    top = ms[-1] if ms else 0
-    if top >= MOMENT_INDEX_LIMIT:
-        raise ResourceLimitError(
-            f"moment index {top} exceeds the exact int64 range"
-            f" (m < {MOMENT_INDEX_LIMIT})"
-        )
-    _check_table(table, top)
-    out = []
-    done = 0
-    s0 = s1 = s2 = 0
-    for m in ms:
-        if m > done:
-            d0, d1, d2 = _moment_sums(table.phi, done + 1, m + 1)
-            s0, s1, s2 = s0 + d0, s1 + d1, s2 + d2
-            done = m
-        out.append((s0, s1, s2))
-    return out
+    _check_table(table, ms[-1] if ms else 0)
+    return [
+        (s0 + a0, s1 + b * a0 + a1, s2 + (b * a0 + 2 * a1) * b + a2)
+        for _, b, (s0, s1, s2), prefix in _walk(table, ms)
+        for a0, a1, a2 in zip(*prefix)
+    ]
 
 
 def _check_index(table: TotientTable, i: object, what: str = "index i") -> int:
@@ -231,13 +218,13 @@ def _check_index(table: TotientTable, i: object, what: str = "index i") -> int:
 
 
 def summatory_phi(table: TotientTable, i: int) -> int:
-    """Phi(i) = sum of phi(j) for j <= i, exact: S_0(i), so i < 2^24."""
+    """Phi(i) = sum of phi(j) for j <= i, exact: S_0(i)."""
     ((s0, _, _),) = totient_moments(table, [_check_index(table, i)])
     return s0
 
 
 def e_phi(table: TotientTable, i: int) -> float:
-    """First error term Phi(i) - 3 i^2 / pi^2, for i < 2^24."""
+    """First error term Phi(i) - 3 i^2 / pi^2."""
     i = _check_index(table, i)
     ((s0, _, _),) = totient_moments(table, [i])
     return _e_phi_from_sum(s0, i)
@@ -257,7 +244,7 @@ def _e_r_from_prefix(second_prefix: int, i: int) -> float:
 
 
 def e_r(table: TotientTable, i: int) -> float:
-    """Second error term: prefix-summed e_phi minus 3 i^2 / (2 pi^2); i < 2^24.
+    """Second error term: prefix-summed e_phi minus 3 i^2 / (2 pi^2).
 
     sum_{j<=i} Phi(j) = sum_{k<=i} (i + 1 - k) phi(k) = (i + 1) S_0(i) - S_1(i).
     """
@@ -271,13 +258,14 @@ def iter_error_terms(
 ) -> Iterator[tuple[int, int, float, float]]:
     """Rows (m, Phi(m), e_phi(m), e_r(m)) for m = every, 2*every, ... <= m_max.
 
-    Phi and the running second-order sum are carried exactly, so each e_r
-    value matches the standalone e_r() to the last bit.  Unlike the point
-    queries, m_max is not bounded by 2^24, only by the table limit.  The
+    Each row reads S_0 and S_1 at m from the same walk as the point
+    queries, so every value matches e_phi() and e_r() to the last bit.  The
     arguments are checked at the call, before the first row is asked for.
     """
     m_max = _check_index(table, m_max, "m_max")
-    return _error_term_rows(table, m_max, check_every(every))
+    every = check_every(every)
+    _check_table(table, m_max)
+    return _error_term_rows(table, range(every, m_max + 1, every))
 
 
 def check_every(every: object) -> int:
@@ -289,17 +277,12 @@ def check_every(every: object) -> int:
 
 
 def _error_term_rows(
-    table: TotientTable, m_max: int, every: int
+    table: TotientTable, ms: range
 ) -> Iterator[tuple[int, int, float, float]]:
-    phi_sum = 0
-    second = 0
-    for lo in range(1, m_max + 1, _CHUNK):
-        hi = min(lo + _CHUNK, m_max + 1)
-        pre = np.cumsum(table.phi[lo:hi], dtype=np.int64)
-        pre += phi_sum
-        phi_sum = int(pre[-1])
-        for off, value in enumerate(pre.tolist()):
-            m = lo + off
-            second += value
-            if m % every == 0:
-                yield m, value, _e_phi_from_sum(value, m), _e_r_from_prefix(second, m)
+    # Phi(m) = S_0(m) and sum_{j<=m} Phi(j) = (m + 1) S_0(m) - S_1(m); only
+    # the two moments the rows need are folded, as in totient_moments
+    for run, b, (s0, s1, _), (c0, c1, _) in _walk(table, ms):
+        for m, a0, a1 in zip(run, c0, c1):
+            phi_sum = s0 + a0
+            second = (m + 1) * phi_sum - s1 - b * a0 - a1
+            yield m, phi_sum, _e_phi_from_sum(phi_sum, m), _e_r_from_prefix(second, m)

@@ -8,6 +8,7 @@ import pytest
 from gridcount import (
     PI_SQUARED,
     GridQuery,
+    ResourceLimitError,
     ScanRow,
     f_fast,
     fit_log_exponent,
@@ -80,6 +81,13 @@ class TestMainTerms:
         # n^4 = 2.4e19 exceeds int64 (and int32), so it must be taken in Python ints
         n = 70_000
         assert fn(np_int(n), np_int(2)) == fn(n, 2)
+
+    @pytest.mark.parametrize("n", [10**77, 10**80], ids=["inf", "no-float"])
+    @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)
+    def test_float_overflow_raises(self, fn, n):
+        # 6.0 * n^4 is inf at n = 10^77; n^4 has no float at all at 10^80
+        with pytest.raises(ResourceLimitError, match="exceeds the float range"):
+            fn(n, 2)
 
     @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), np.True_])
     @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)

@@ -196,12 +196,15 @@ class TestErrorContract:
         assert run(runner, "counts", "--n", "3", "--q", "2", "--format", "yaml").exit_code == 2
 
     def test_resource_limit_exits_1(self, runner):
-        r = run(
-            runner, "fq", "--n", "1000", "--q", "1",
-            env={"GRIDCOUNT_SIEVE_LIMIT": "100"},
-        )
+        r = run(runner, "errterms", "--m-max", "100000001")
         assert r.exit_code == 1
         assert r.stderr.startswith("error: resource-limit:")
+
+    def test_sieve_env_var_is_ignored(self, runner):
+        plain = run(runner, "fq", "--n", "1000", "--q", "1")
+        r = run(runner, "fq", "--n", "1000", "--q", "1", env={"GRIDCOUNT_SIEVE_LIMIT": "100"})
+        assert r.exit_code == plain.exit_code == 0
+        assert (r.stdout, r.stderr) == (plain.stdout, plain.stderr)
 
     def test_max_grid_exits_1(self, runner):
         r = run(runner, "fq", "--n", str(10**7 + 1), "--q", "1")
@@ -236,34 +239,30 @@ class TestErrorContract:
 
 
     @pytest.mark.parametrize(
-        "args, env, stderr",
+        "args, stderr",
         [
             (
                 ("--m-max", "10000000", "--every", "0"),
-                {},
                 "error: invalid-argument: every must be >= 1, got 0\n",
             ),
             (
                 ("--m-max", "0", "--every", "0"),
-                {},
                 "error: invalid-argument: --m-max must be >= 1, got 0\n",
             ),
             (
-                ("--m-max", "1000", "--every", "-1"),
-                {"GRIDCOUNT_SIEVE_LIMIT": "100"},
-                "error: resource-limit: sieve limit 1000 exceeds budget 100"
-                " (raise it via GRIDCOUNT_SIEVE_LIMIT)\n",
+                ("--m-max", "100000001", "--every", "-1"),
+                "error: resource-limit: sieve limit 100000001 exceeds budget 100000000\n",
             ),
         ],
         ids=["every", "m-max-first", "budget-first"],
     )
-    def test_every_checked_before_sieving(self, runner, monkeypatch, args, env, stderr):
+    def test_every_checked_before_sieving(self, runner, monkeypatch, args, stderr):
         # m_max is reported first, then the sieve budget, then the stride
         def refuse(limit):
             raise RuntimeError(f"sieved to {limit}")
 
         monkeypatch.setattr(totient, "build_totient_table", refuse)
-        r = run(runner, "errterms", *args, env=env)
+        r = run(runner, "errterms", *args)
         assert r.exit_code == 1
         assert r.stderr == stderr
 

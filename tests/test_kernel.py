@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcount import (
+    SIEVE_LIMIT,
     CountSet,
     GridQuery,
     ResourceLimitError,
@@ -17,12 +18,15 @@ from gridcount import (
     f_direct,
     f_fast,
     f_from_moments,
+    iter_error_terms,
     summatory_phi,
     totient_moments,
 )
-from gridcount.counts import MOMENT_INDEX_LIMIT, _at_least, _exactly, _half_exact
+from gridcount.counts import _at_least, _exactly, _half_exact
 
+ROW = 1 << 11
 BLOCK = 1 << 14
+EDGES = [0, 1, ROW - 1, ROW, ROW + 1, BLOCK - 1, BLOCK, BLOCK + 1]
 
 
 def naive_moments(phi, m):
@@ -33,6 +37,27 @@ def naive_moments(phi, m):
 class ExplodingPhi:
     def __getitem__(self, key):
         raise LookupError("table read")
+
+
+class WorstCasePhi:
+    """Slices of phi(i) = i - 1, the largest phi(i) can be, built on demand."""
+
+    def __getitem__(self, key):
+        values = np.arange(key.start - 1, key.stop - 1, dtype=np.int32)
+        if key.start == 0:
+            values[0] = 0
+        return values
+
+
+@pytest.fixture(scope="module")
+def edge_table():
+    table = build_totient_table(BLOCK + 1)
+    phi = table.phi.tolist()
+    prefix = [(0, 0, 0)]
+    for i in range(1, BLOCK + 2):
+        s0, s1, s2 = prefix[-1]
+        prefix.append((s0 + phi[i], s1 + i * phi[i], s2 + i * i * phi[i]))
+    return table, prefix
 
 
 @given(n=st.integers(1, 60), q=st.integers(1, 15))
@@ -81,19 +106,42 @@ def test_many_targets_across_block_edges():
     assert totient_moments(table, ms) == [naive_moments(table.phi, m) for m in ms]
 
 
+@given(
+    ms=st.lists(
+        st.one_of(st.sampled_from(EDGES), st.integers(0, BLOCK + 1)), max_size=12
+    ).map(sorted)
+)
+@settings(max_examples=200, deadline=None)
+def test_random_targets_match_naive_sums(ms, edge_table):
+    # repeats, m = 0 and the row and batch edges 2^11 +- 1, 2^14 +- 1
+    table, prefix = edge_table
+    assert totient_moments(table, ms) == [prefix[m] for m in ms]
+
+
+def test_numpy_targets_are_summed_as_plain_ints():
+    table = build_totient_table(3 * BLOCK)
+    ms = [5, ROW + 3, 3 * BLOCK]
+    moments = totient_moments(table, [np.int64(m) for m in ms])
+    assert moments == [naive_moments(table.phi, m) for m in ms]
+    assert all(type(s) is int for row in moments for s in row)
+
+
 def test_m_zero_reads_nothing():
     table = TotientTable(limit=1, phi=ExplodingPhi())
     assert totient_moments(table, [0, 0]) == [(0, 0, 0), (0, 0, 0)]
     assert totient_moments(table, []) == []
 
 
+def test_walk_bound_argument():
+    # phi(i) < 2^27 for i <= SIEVE_LIMIT is what keeps a row's int64 sums exact
+    assert SIEVE_LIMIT < 2**27
+
+
 def test_exact_at_the_index_limit():
-    # phi(i) <= i - 1 is all the limb bound assumes; the extreme i - 1 at
-    # every index up to 2^24 - 1 must still sum without int64 overflow.
-    m = MOMENT_INDEX_LIMIT - 1
-    phi = np.arange(-1, m, dtype=np.int32)
-    phi[0] = 0
-    table = TotientTable(limit=m, phi=phi)
+    # phi(i) <= i - 1 is all the row bound assumes; the extreme i - 1 at
+    # every index up to SIEVE_LIMIT must still sum without int64 overflow.
+    m = SIEVE_LIMIT
+    table = TotientTable(limit=m, phi=WorstCasePhi())
     s1 = m * (m + 1) // 2
     s2 = m * (m + 1) * (2 * m + 1) // 6
     s3 = s1 * s1
@@ -101,20 +149,28 @@ def test_exact_at_the_index_limit():
 
 
 def test_index_guard_raises_before_reading_the_table():
-    table = TotientTable(limit=2 * MOMENT_INDEX_LIMIT, phi=ExplodingPhi())
-    with pytest.raises(ResourceLimitError, match="exact int64 range"):
-        totient_moments(table, [1, MOMENT_INDEX_LIMIT])
+    table = TotientTable(limit=2 * SIEVE_LIMIT, phi=ExplodingPhi())
+    with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
+        totient_moments(table, [1, SIEVE_LIMIT + 1])
     with pytest.raises(LookupError):
-        totient_moments(table, [MOMENT_INDEX_LIMIT - 1])
+        totient_moments(table, [SIEVE_LIMIT])
 
 
 @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
 def test_point_queries_raise_at_the_index_limit_before_reading(fn):
-    table = TotientTable(limit=2 * MOMENT_INDEX_LIMIT, phi=ExplodingPhi())
-    with pytest.raises(ResourceLimitError, match="exact int64 range"):
-        fn(table, MOMENT_INDEX_LIMIT)
+    table = TotientTable(limit=2 * SIEVE_LIMIT, phi=ExplodingPhi())
+    with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
+        fn(table, SIEVE_LIMIT + 1)
     with pytest.raises(LookupError):
-        fn(table, MOMENT_INDEX_LIMIT - 1)
+        fn(table, SIEVE_LIMIT)
+
+
+def test_error_term_stream_raises_at_the_index_limit_before_reading():
+    table = TotientTable(limit=2 * SIEVE_LIMIT, phi=ExplodingPhi())
+    with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
+        iter_error_terms(table, SIEVE_LIMIT + 1)
+    with pytest.raises(LookupError):
+        next(iter_error_terms(table, SIEVE_LIMIT, every=SIEVE_LIMIT))
 
 
 def test_validation(table100):

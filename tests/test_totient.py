@@ -11,6 +11,7 @@ import pytest
 from gridcount import totient
 from gridcount import (
     PI_SQUARED,
+    SIEVE_LIMIT,
     ResourceLimitError,
     build_totient_table,
     e_phi,
@@ -148,17 +149,15 @@ class TestSieve:
         with pytest.raises(ValueError):
             build_totient_table(-5)
 
-    def test_budget_env_override(self, monkeypatch):
-        monkeypatch.setenv("GRIDCOUNT_SIEVE_LIMIT", "50")
-        with pytest.raises(ResourceLimitError):
-            build_totient_table(51)
-        t = build_totient_table(50)
-        assert t.limit == 50
-
-    def test_budget_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("GRIDCOUNT_SIEVE_LIMIT", "lots")
-        with pytest.raises(ValueError):
-            build_totient_table(10)
+    def test_limit_raises_before_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"exceeds budget {SIEVE_LIMIT}$"):
+                build_totient_table(SIEVE_LIMIT + 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
 
 
 class TestSummatory:
@@ -246,6 +245,51 @@ class TestIterErrorTerms:
     def test_bad_args_raise_at_the_call(self, table100, m_max, every, exc):
         with pytest.raises(exc):
             iter_error_terms(table100, m_max, every=every)
+
+
+def reference_error_term_rows(table, m_max, every):
+    """The cumsum-and-carry stream iter_error_terms used before the moment walk."""
+    chunk = 1 << 16
+    phi_sum = 0
+    second = 0
+    for lo in range(1, m_max + 1, chunk):
+        hi = min(lo + chunk, m_max + 1)
+        pre = np.cumsum(table.phi[lo:hi], dtype=np.int64)
+        pre += phi_sum
+        phi_sum = int(pre[-1])
+        for off, value in enumerate(pre.tolist()):
+            m = lo + off
+            second += value
+            if m % every == 0:
+                yield (
+                    m,
+                    value,
+                    totient._e_phi_from_sum(value, m),
+                    totient._e_r_from_prefix(second, m),
+                )
+
+
+class TestStreamAgainstReference:
+    @pytest.fixture(scope="class")
+    def table(self):
+        return build_totient_table(2**16 + 1)
+
+    @pytest.mark.parametrize("every", [1, 7, 2**11 - 1, 2**11 + 1, 2**14 - 1, 2**14 + 1])
+    def test_rows_equal(self, table, every):
+        reference = list(reference_error_term_rows(table, 2**16 + 1, every))
+        for m_max in (2**16 - 1, 2**16, 2**16 + 1):
+            rows = list(iter_error_terms(table, m_max, every))
+            assert rows == [r for r in reference if r[0] <= m_max], (m_max, every)
+
+    def test_point_queries_past_2_to_the_24(self):
+        i = 2**24 + 5
+        t = build_totient_table(i)
+        ((m, phi_sum, ep, er),) = iter_error_terms(t, i, every=i)
+        assert m == i
+        assert phi_sum == int(t.phi.sum(dtype=np.int64))
+        assert summatory_phi(t, i) == phi_sum
+        assert e_phi(t, i) == ep
+        assert e_r(t, i) == er
 
 
 class TestIntegerArguments:

@@ -2,8 +2,9 @@
 
 The package is organized around one exact quantity, the weighted gcd-class
 pair count f_q(n), computed either by definition (f_direct) or through a
-totient identity in O(n/q) time (f_fast), which reads three weighted
-totient moments from one exact kernel (totient_moments).  Segment counts,
+totient identity (f_fast), which reads three weighted totient moments:
+from a walk of a given table (totient_moments), or without one from a
+sublinear recursion over a small presieve.  Segment counts,
 line counts, and the number of linear threshold dichotomies all derive from
 f by exact integer arithmetic.  Independent brute-force oracles cover small grids, and
 the asympt module compares exact values against their n^4 main terms.

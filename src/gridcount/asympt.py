@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -64,15 +64,26 @@ class RhReport:
     note: str
 
 
-def _n4_term(n: int, coeff: float, divisor: float, factor: float = 1.0) -> float:
-    """coeff * n^4 / divisor * factor in that order, or raise if it overflows a float."""
+def _n4_term(n: int, q: int, term: Callable[[], float]) -> float:
+    """The main term term() at (n, q), or raise unless it is a positive finite float.
+
+    Every main term is positive, so inf, nan, a value <= 0 and an int too
+    large for a float (OverflowError) all mean the term has no usable
+    float: n^4 or a power of q overflowed, or the q factor underflowed or
+    cancelled.  The error names n when 6 n^4 alone overflows, q otherwise.
+    """
     try:
-        value = coeff * n**4 / divisor * factor
+        value = term()
+    except OverflowError:
+        value = math.nan
+    if 0.0 < value < math.inf:
+        return value
+    try:
+        n_fits = math.isfinite(6.0 * n**4)
     except OverflowError:  # n^4 itself has no float
-        value = math.inf
-    if not math.isfinite(value):
-        raise ResourceLimitError(f"main term at grid side {n} exceeds the float range")
-    return value
+        n_fits = False
+    where = f"q = {q}" if n_fits else f"grid side {n}"
+    raise ResourceLimitError(f"main term at {where} exceeds the float range")
 
 
 def main_term_f(n: int, q: int) -> float:
@@ -80,7 +91,7 @@ def main_term_f(n: int, q: int) -> float:
     n, q = as_int(n, "grid side n"), as_int(q, "gcd class q")
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
-    return _n4_term(n, 6.0, PI_SQUARED * q * q)
+    return _n4_term(n, q, lambda: 6.0 * n**4 / (PI_SQUARED * q * q))
 
 
 def main_term_segments(n: int, q: int) -> float:
@@ -93,7 +104,9 @@ def main_term_lines_ge(n: int, q: int) -> float:
     n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if n < 1 or q < 2:
         raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
-    return _n4_term(n, 3.0, PI_SQUARED, 1.0 / (q - 1) ** 2 - 1.0 / q**2)
+    return _n4_term(
+        n, q, lambda: 3.0 * n**4 / PI_SQUARED * (1.0 / (q - 1) ** 2 - 1.0 / q**2)
+    )
 
 
 def main_term_lines_eq(n: int, q: int) -> float:
@@ -101,8 +114,12 @@ def main_term_lines_eq(n: int, q: int) -> float:
     n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if n < 1 or q < 2:
         raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
-    bracket = 1.0 / (q + 1) ** 2 - 2.0 / q**2 + 1.0 / (q - 1) ** 2
-    return _n4_term(n, 3.0, PI_SQUARED, bracket)
+
+    def term() -> float:
+        bracket = 1.0 / (q + 1) ** 2 - 2.0 / q**2 + 1.0 / (q - 1) ** 2
+        return 3.0 * n**4 / PI_SQUARED * bracket
+
+    return _n4_term(n, q, term)
 
 
 def residual(n: int, q: int, table: TotientTable) -> float:

@@ -146,11 +146,6 @@ common_options = click.option(
 )
 
 
-def build_table(n: int, q: int = 1, lines: bool = False) -> totient.TotientTable:
-    """Sieve sized for the counts at (n, q), once n and q are validated."""
-    return totient.build_totient_table(max(counts.table_limit_for(n, q, lines), 1))
-
-
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
 def main() -> None:
     """Exact and asymptotic counts of segments and lines in an n x n grid."""
@@ -163,8 +158,7 @@ def main() -> None:
 @domain_errors
 def fq_cmd(n: int, q: int, fmt: str) -> None:
     """The weighted pair count f_q(n)."""
-    table = build_table(n, q)
-    f = counts.f_fast(counts.GridQuery(n, q), table)
+    f = counts.f_fast(counts.GridQuery(n, q))
     emit_value(fmt, ("n", "q", "f"), (n, q, f))
 
 
@@ -178,8 +172,7 @@ def counts_cmd(n: int, q: int, fmt: str) -> None:
 
     Line counts need q >= 2 and are empty/null at q = 1.
     """
-    table = build_table(n, q, lines=q >= 2)
-    cs = counts.count_set(n, q, table)
+    cs = counts.count_set(n, q)
     columns = ("n", "q", "f", "segments", "lines_at_least", "lines_exactly")
     row = (cs.n, cs.q, cs.f, cs.segments, cs.lines_at_least, cs.lines_exactly)
     emit(fmt, columns, [row])
@@ -222,7 +215,8 @@ def scan_cmd(
         if step is not None and step < 1:
             raise ValueError(f"--step must be >= 1, got {step}")
         ns = list(range(n_start, n_end + 1, step or 1))
-    table = build_table(ns[-1], q)
+    # table_limit_for validates the largest n and q before anything is sieved
+    table = totient.build_totient_table(max(counts.table_limit_for(ns[-1], q), 1))
     rows = asympt.scan_residuals(q, ns, table)
     emit(fmt, SCAN_COLUMNS, _scan_cells(rows))
     if fit:
@@ -309,7 +303,7 @@ def errterms_cmd(m_max: int, every: int, fmt: str) -> None:
 @domain_errors
 def threshold_cmd(n: int, fmt: str) -> None:
     """Linear threshold dichotomies of the n x n grid: f_1(n) + 2."""
-    t = counts.threshold_count(n, build_table(n))
+    t = counts.threshold_count(n)
     emit_value(fmt, ("n", "t"), (n, t))
 
 

@@ -16,21 +16,31 @@ exactly q.  Consequences:
 gcd follows math.gcd: gcd(0, k) = |k| and gcd(0, 0) = 0, so the zero
 difference never matches any q >= 1.
 
-Every fast count goes through one kernel, totient_moments (defined in the
-totient module, next to the table it reads), which returns the exact
-weighted totient moments S_k(m) = sum_{i<=m} i^k phi(i) for k = 0, 1, 2
-at a nondecreasing list of m in a single pass over the table, exactly
-for every m up to the sieve's cap.  Only decompose_lemma, the independent
-reference the kernel is checked against, reads phi itself.
+Every fast count reads the exact weighted totient moments
+S_k(m) = sum_{i<=m} i^k phi(i), k = 0, 1, 2, at its few m.  Given a
+table, it walks it with totient_moments (defined in the totient module,
+next to the table it reads), which needs the table to reach max(m).
+Without one, the totient module's sublinear evaluator computes the same
+sums from a much smaller presieve, so a point query at n = 10^7 never
+sieves to 10^7.  Only decompose_lemma, the independent reference the
+kernel is checked against, reads phi itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import ResourceLimitError
-from .totient import Moments, TotientTable, _check_table, as_int, totient_moments
+from .totient import (
+    Moments,
+    TotientTable,
+    _check_table,
+    _sublinear_moments,
+    as_int,
+    totient_moments,
+)
 
 #: largest accepted grid side; beyond this the sieve alone is unreasonable
 MAX_GRID_N = 10**7
@@ -115,25 +125,34 @@ def f_from_moments(n: int, q: int, moments: Moments) -> int:
     return 4 * (2 * n * n * s0 - 3 * n * q * s1 + q * q * s2)
 
 
-def f_fast(query: GridQuery, table: TotientTable) -> int:
-    """f_q(n) via the totient identity, O(n/q) exact vectorised arithmetic.
+def _moments(ms: Sequence[int], table: TotientTable | None) -> list[Moments]:
+    """Moments at the nondecreasing ms: a walk of table, or sublinear without one."""
+    if table is None:
+        return _sublinear_moments(ms)
+    return totient_moments(table, ms)
+
+
+def f_fast(query: GridQuery, table: TotientTable | None = None) -> int:
+    """f_q(n) via the totient identity, in exact integer arithmetic.
 
         f_q(n) = 4 sum_{i=1}^{m} (n - qi) (2n - qi) phi(i),  m = floor((n-1)/q)
                = 4 (2n^2 S_0(m) - 3nq S_1(m) + q^2 S_2(m))
 
-    since (n - qi)(2n - qi) = 2n^2 - 3nq i + q^2 i^2.  The moments come from
-    totient_moments, exact for every accepted query (m < MAX_GRID_N = 10^7).
+    since (n - qi)(2n - qi) = 2n^2 - 3nq i + q^2 i^2.  With a table the
+    moments come from one totient_moments walk of it, O(m); without one,
+    from the sublinear evaluator, about O(m^(2/3)).  Both are exact for
+    every accepted query (m < MAX_GRID_N = 10^7) and give the same value.
     """
     n, q = query.n, query.q
-    (moments,) = totient_moments(table, [(n - 1) // q])
+    (moments,) = _moments([(n - 1) // q], table)
     return f_from_moments(n, q, moments)
 
 
-def _f_at(n: int, qs: tuple[int, ...], table: TotientTable) -> list[int]:
+def _f_at(n: int, qs: tuple[int, ...], table: TotientTable | None) -> list[int]:
     """f_q(n) for each q in qs, from one moment pass over their distinct m."""
     queries = [GridQuery(n, q) for q in qs]
     ms = sorted({(g.n - 1) // g.q for g in queries})
-    moments = dict(zip(ms, totient_moments(table, ms)))
+    moments = dict(zip(ms, _moments(ms, table)))
     return [f_from_moments(g.n, g.q, moments[(g.n - 1) // g.q]) for g in queries]
 
 
@@ -185,7 +204,7 @@ def _exactly(n: int, q: int, f_below: int, f_q: int, f_above: int) -> int:
     return _half_exact(num, "second difference of f")
 
 
-def segments_count(n: int, p: int, table: TotientTable) -> int:
+def segments_count(n: int, p: int, table: TotientTable | None = None) -> int:
     """Segments whose endpoints and interior cover exactly p grid points.
 
     Equals f_{p-1}(n) / 2: each segment is an unordered endpoint pair whose
@@ -198,19 +217,19 @@ def segments_count(n: int, p: int, table: TotientTable) -> int:
     return _half_exact(f, f"f_{p - 1}({n})")
 
 
-def lines_at_least(n: int, q: int, table: TotientTable) -> int:
+def lines_at_least(n: int, q: int, table: TotientTable | None = None) -> int:
     """Lines meeting at least q grid points, q >= 2."""
     _need_line_q(q)
     return _at_least(n, q, *_f_at(n, (q - 1, q), table))
 
 
-def lines_exactly(n: int, q: int, table: TotientTable) -> int:
+def lines_exactly(n: int, q: int, table: TotientTable | None = None) -> int:
     """Lines meeting exactly q grid points, q >= 2."""
     _need_line_q(q)
     return _exactly(n, q, *_f_at(n, (q - 1, q, q + 1), table))
 
 
-def threshold_count(n: int, table: TotientTable) -> int:
+def threshold_count(n: int, table: TotientTable | None = None) -> int:
     """Linear threshold dichotomies of the n x n grid: f_1(n) + 2.
 
     The +2 are the two constant classifications, which no separating line
@@ -233,8 +252,12 @@ def table_limit_for(n: int, q: int = 1, lines: bool = False) -> int:
     return (n - 1) // q
 
 
-def count_set(n: int, q: int, table: TotientTable) -> CountSet:
-    """f, segment, and line counts at one (n, q) from a single moment pass."""
+def count_set(n: int, q: int, table: TotientTable | None = None) -> CountSet:
+    """f, segment, and line counts at one (n, q) from a single moment pass.
+
+    As for every count here, a table is walked and no table means the
+    sublinear evaluator; the answers are the same.
+    """
     query = GridQuery(n, q)
     n, q = query.n, query.q
     if q >= 2:

@@ -1,19 +1,24 @@
-"""Euler totient sieve, the moment walk over it, and second-order error terms.
+"""Euler totient sieve, the moment walk over it, a sublinear moment
+evaluator, and second-order error terms.
 
-The table produced here, phi(i) for all i up to a limit, backs every fast
-counting routine in the package through one exact kernel, totient_moments,
-which returns S_k(m) = sum_{i<=m} i^k phi(i) for k = 0, 1, 2.  The
-summatory function is Phi(i) = S_0(i), and sum_{j<=i} Phi(j) equals
-(i + 1) S_0(i) - S_1(i).  On top of that sit two error terms used for
-growth diagnostics,
+The table produced here, phi(i) for all i up to a limit, is read by one
+exact kernel, totient_moments, which returns S_k(m) = sum_{i<=m} i^k phi(i)
+for k = 0, 1, 2 at a nondecreasing list of m in one walk.  The counts
+called without a table use _sublinear_moments instead: the same sums at a
+few large m from the hyperbola recursion over the quotients m // d, whose
+small quotients come from a totient_moments walk of a presieve of about
+10 m^(2/3) entries.  The summatory function is Phi(i) = S_0(i), and
+sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).  On top of that sit two
+error terms used for growth diagnostics,
 
     e_phi(i) = Phi(i) - 3 i^2 / pi^2
     e_r(i)   = sum_{j<=i} e_phi(j) - 3 i^2 / (2 pi^2)
 
 both reported as floats while all integer parts stay exact.  The kernel,
-the point queries and the error-term stream all read phi through one
-private walk, exact for every index up to SIEVE_LIMIT, the one cap on the
-sieve and on every moment index.
+the point queries, the error-term stream and the presieve of the
+sublinear evaluator all read phi through one private walk, exact for
+every index up to SIEVE_LIMIT, the one cap on the sieve and on every
+moment index.
 """
 
 from __future__ import annotations
@@ -31,7 +36,10 @@ from .errors import ResourceLimitError
 
 PI_SQUARED = math.pi**2
 
-#: Largest sieve limit, and so the largest index any moment sum reads.
+#: Largest sieve limit, and so the largest index the table path reads
+#: (totient_moments, the point queries, the error-term stream).  The
+#: sublinear evaluator behind the table-free counts keeps the same cap on
+#: its moment index, though it sieves only to about 10 m^(2/3).
 SIEVE_LIMIT = 10**8
 
 # Emitted floats are compared across runs, so the doubled constant is built
@@ -49,6 +57,9 @@ _SIEVE_BLOCK = 1 << 16
 _ROW = 1 << 11
 _ROWS = 8
 _POWERS = np.arange(_ROW, dtype=np.int64)[:, None] ** np.arange(3)
+
+# Smallest presieve of _sublinear_moments; see _presieve_size.
+_PRESIEVE_MIN = 1 << 18
 
 Moments = tuple[int, int, int]
 
@@ -143,12 +154,17 @@ def build_totient_table(limit: int) -> TotientTable:
     return TotientTable(limit=limit, phi=phi)
 
 
-def _check_table(table: TotientTable, needed: int) -> None:
-    """Raise unless phi may be read up to index needed, which the walk sums exactly."""
+def _check_moment_index(needed: int) -> None:
+    """Raise ResourceLimitError if a moment index is past SIEVE_LIMIT."""
     if needed > SIEVE_LIMIT:
         raise ResourceLimitError(
             f"moment index {needed} exceeds the sieve limit {SIEVE_LIMIT}"
         )
+
+
+def _check_table(table: TotientTable, needed: int) -> None:
+    """Raise unless phi may be read up to index needed, which the walk sums exactly."""
+    _check_moment_index(needed)
     if table.limit < needed:
         raise ValueError(
             f"totient table limit {table.limit} too small, need at least {needed}"
@@ -196,17 +212,103 @@ def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
     every sum is exact.  m > SIEVE_LIMIT raises ResourceLimitError before
     the table is read, whatever the table's own limit.
     """
-    ms = [operator.index(m) for m in ms]  # numpy ints would wrap in the fold
-    if any(b < a for a, b in zip(ms, ms[1:])):
-        raise ValueError("m values must be nondecreasing")
-    if ms and ms[0] < 0:
-        raise ValueError(f"m must be >= 0, got {ms[0]}")
+    ms = _check_ms(ms)
     _check_table(table, ms[-1] if ms else 0)
     return [
         (s0 + a0, s1 + b * a0 + a1, s2 + (b * a0 + 2 * a1) * b + a2)
         for _, b, (s0, s1, s2), prefix in _walk(table, ms)
         for a0, a1, a2 in zip(*prefix)
     ]
+
+
+def _check_ms(ms: Iterable[int]) -> list[int]:
+    """ms as plain ints, which must be >= 0 and nondecreasing."""
+    ms = [operator.index(m) for m in ms]  # numpy ints would wrap in the fold
+    if any(b < a for a, b in zip(ms, ms[1:])):
+        raise ValueError("m values must be nondecreasing")
+    if ms and ms[0] < 0:
+        raise ValueError(f"m must be >= 0, got {ms[0]}")
+    return ms
+
+
+def _presieve_size(x: int) -> int:
+    """The table size y that _sublinear_moments sieves for a largest m of x.
+
+    y = x up to 2^18, then max(2^18, 10 x^(2/3)).  The numpy sieve and walk
+    cost a few ns per entry and the Python recursion about 4 x / sqrt(y)
+    loop steps, so the best y grows like x^(2/3).  Timed on a 2-core
+    x86-64 VM (Python 3.11, three m per call), the best y was about
+    10 x^(2/3) from x = 3 10^6 to 10^8 (0.07 s at 10^7 - 10, 0.29 s at
+    10^8, against 0.32 s and 5.8 s with y = x), and within 10 % of the
+    best over a factor of two either side.  Up to x = 2^18 a full sieve
+    costs under 10 ms, so the recursion is not worth its setup there.
+    """
+    return min(x, max(_PRESIEVE_MIN, 10 * round(x ** (2 / 3))))
+
+
+def _quotients(m: int) -> set[int]:
+    """Every distinct m // d for d >= 1: all u <= isqrt(m) and m // d for d <= isqrt(m)."""
+    s = math.isqrt(m)
+    return {*range(1, s + 1), *(m // d for d in range(1, s + 1))}
+
+
+def _moments_from_below(v: int, memo: dict[int, Moments]) -> Moments:
+    """(S_0, S_1, S_2) at v from memo, which holds them at every v // e, e >= 2.
+
+    sum_{d | i} phi(d) = i gives sum_{e <= v} e^k S_k(v // e) = P_{k+1}(v),
+    with P_j(v) = sum_{i <= v} i^j.  The e <= v // (s + 1), s = isqrt(v), are
+    summed one by one; the larger e share a quotient u = v // e <= s and
+    are summed as e^k over (v // (u + 1), v // u] in closed form.
+    """
+    s = math.isqrt(v)
+    t0 = t1 = t2 = 0
+    for e in range(2, v // (s + 1) + 1):
+        a0, a1, a2 = memo[v // e]
+        t0 += a0
+        t1 += e * a1
+        t2 += e * e * a2
+    hi, p1_hi, p2_hi = v, v * (v + 1) // 2, v * (v + 1) * (2 * v + 1) // 6
+    for u in range(1, s + 1):
+        lo = v // (u + 1)
+        p1_lo, p2_lo = lo * (lo + 1) // 2, lo * (lo + 1) * (2 * lo + 1) // 6
+        a0, a1, a2 = memo[u]
+        t0 += (hi - lo) * a0
+        t1 += (p1_hi - p1_lo) * a1
+        t2 += (p2_hi - p2_lo) * a2
+        hi, p1_hi, p2_hi = lo, p1_lo, p2_lo
+    p1 = v * (v + 1) // 2
+    return p1 - t0, v * (v + 1) * (2 * v + 1) // 6 - t1, p1 * p1 - t2
+
+
+def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]:
+    """(S_0(m), S_1(m), S_2(m)) per m, as totient_moments, without a table to max(ms).
+
+    Every m <= y, and every quotient m // d <= y of a larger m, is read
+    from one totient_moments walk of a table sieved to the largest of them,
+    at most y.  The quotients
+    above y are then filled in from the smallest up by _moments_from_below,
+    whose every argument v // e is again a quotient of the same m; one
+    memo serves all ms.  This is the hyperbola method of Deleglise and
+    Rivat (Exp. Math. 5, 1996) on the identity (i^k phi) * i^k = i^(k+1).
+    y defaults to _presieve_size(max(ms)); any y in 1..max(ms) gives the
+    same sums.  Every sum is a plain Python int, so all are exact.
+    """
+    ms = _check_ms(ms)
+    x = ms[-1] if ms else 0
+    _check_moment_index(x)
+    if y is None:
+        y = _presieve_size(x)
+    values: set[int] = set()
+    for m in ms:
+        values.update(_quotients(m) if m > y else (m,))
+    small = sorted(v for v in values if 0 < v <= y)
+    memo: dict[int, Moments] = {0: (0, 0, 0)}
+    if small:
+        table = build_totient_table(small[-1])
+        memo.update(zip(small, totient_moments(table, small)))
+    for v in sorted(v for v in values if v > y):
+        memo[v] = _moments_from_below(v, memo)
+    return [memo[m] for m in ms]
 
 
 def _check_index(table: TotientTable, i: object, what: str = "index i") -> int:

@@ -89,6 +89,22 @@ class TestMainTerms:
         with pytest.raises(ResourceLimitError, match="exceeds the float range"):
             fn(n, 2)
 
+    @pytest.mark.parametrize(
+        "n, q",
+        [(10**76, 10**200), (10, 10**200), (10, 10**400)],
+        ids=["tiny", "inf-divisor", "no-float"],
+    )
+    @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)
+    def test_huge_q_raises(self, fn, n, q):
+        # each true value is positive, far below the smallest float or with
+        # a power of q that has none; 0.0 and OverflowError were returned
+        with pytest.raises(ResourceLimitError, match=f"^main term at q = {q} exceeds"):
+            fn(n, q)
+
+    def test_overflowing_n_is_named_before_q(self):
+        with pytest.raises(ResourceLimitError, match="^main term at grid side"):
+            main_term_f(10**80, 10**400)
+
     @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), np.True_])
     @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)
     def test_non_integers_raise(self, fn, bad):

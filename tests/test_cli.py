@@ -216,6 +216,12 @@ class TestErrorContract:
         assert r.exit_code == 1
         assert r.stderr == "error: invalid-argument: gcd class q must be >= 1, got 0\n"
 
+    def test_huge_q_scan_one_line_error(self, runner):
+        q = str(10**400)
+        r = run(runner, "scan", "--q", q, "--n-start", "1", "--n-end", "3")
+        assert r.exit_code == 1
+        assert r.stderr == f"error: resource-limit: main term at q = {q} exceeds the float range\n"
+
     @pytest.mark.parametrize(
         "args",
         [
@@ -267,7 +273,8 @@ class TestErrorContract:
         assert r.stderr == stderr
 
 class TestPinnedBytes:
-    """Exact stdout of each subcommand in every format, on small inputs.
+    """Exact stdout of each subcommand in every format, on small inputs and at
+    the grid cap, where the point queries take the sublinear moments.
 
     No ``scan --fit`` here: its digits come from np.polyfit, which may
     differ in the last places between platforms.
@@ -360,6 +367,46 @@ class TestPinnedBytes:
             "json-lines": (
                 '{"m": 5, "phi_sum": 10, "e_phi": 2.40091122682467, "e_r": 2.4824603124266}\n'
                 '{"m": 10, "phi_sum": 32, "e_phi": 1.60364490729867, "e_r": 2.7758553467492}\n'
+            ),
+        },
+        "fq --n 9999991 --q 1": {
+            "table": (
+                '6079249133221502328009985864\n'
+            ),
+            "csv": (
+                '9999991,1,6079249133221502328009985864\n'
+            ),
+            "json-lines": (
+                '{"n": 9999991, "q": 1, "f": 6079249133221502328009985864}\n'
+            ),
+        },
+        "counts --n 10000000 --q 2": {
+            "table": (
+                '       n  q                             f                     segments'
+                '                lines_at_least                 lines_exactly\n'
+                '10000000  2  1519817754614662433762246000  759908877307331216881123000'
+                '  2279726631976549903556923114  1857555033480987074533386808\n'
+            ),
+            "csv": (
+                '10000000,2,1519817754614662433762246000,759908877307331216881123000,'
+                '2279726631976549903556923114,1857555033480987074533386808\n'
+            ),
+            "json-lines": (
+                '{"n": 10000000, "q": 2, "f": 1519817754614662433762246000,'
+                ' "segments": 759908877307331216881123000,'
+                ' "lines_at_least": 2279726631976549903556923114,'
+                ' "lines_exactly": 1857555033480987074533386808}\n'
+            ),
+        },
+        "threshold --n 10000000": {
+            "table": (
+                '6079271018567762240876092230\n'
+            ),
+            "csv": (
+                '10000000,6079271018567762240876092230\n'
+            ),
+            "json-lines": (
+                '{"n": 10000000, "t": 6079271018567762240876092230}\n'
             ),
         },
         "threshold --n 3": {

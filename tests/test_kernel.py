@@ -1,7 +1,9 @@
-"""The exact moment kernel behind every fast count: totient_moments."""
+"""The exact moment kernel behind every fast count: totient_moments, and the
+sublinear evaluator that gives the same sums without a table to max(m)."""
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +22,13 @@ from gridcount import (
     f_from_moments,
     iter_error_terms,
     summatory_phi,
+    threshold_count,
     totient_moments,
 )
+from gridcount import totient
+from gridcount.cli import main
 from gridcount.counts import _at_least, _exactly, _half_exact
+from gridcount.totient import _presieve_size, _sublinear_moments
 
 ROW = 1 << 11
 BLOCK = 1 << 14
@@ -190,3 +196,88 @@ def test_invariant_checks_raise():
         _at_least(5, 2, 10, 12)
     with pytest.raises(ArithmeticError):
         _exactly(5, 2, 10, 12, 4)
+
+
+# The presieve rule's breakpoints: y = x up to 2^18, then y = 2^18 up to
+# PRESIEVE_KNEE, then about 10 x^(2/3).
+PRESIEVE_MIN = 1 << 18
+PRESIEVE_KNEE = 4_244_361
+SUBLINEAR_XS = [
+    PRESIEVE_MIN, PRESIEVE_MIN + 1, PRESIEVE_KNEE, PRESIEVE_KNEE + 1, 10**7 - 1
+]
+
+
+@pytest.fixture(scope="module")
+def table_2e5():
+    return build_totient_table(2 * 10**5)
+
+
+@pytest.fixture(scope="module")
+def table_1e7():
+    return build_totient_table(10**7 - 1)
+
+
+@st.composite
+def ms_and_presieve(draw):
+    ms = sorted(draw(st.lists(st.integers(0, 2 * 10**5), min_size=1, max_size=6)))
+    return ms, draw(st.integers(1, max(ms[-1], 1)))
+
+
+@given(case=ms_and_presieve())
+@settings(max_examples=150, deadline=None)
+def test_sublinear_matches_the_walk_for_any_presieve(case, table_2e5):
+    ms, y = case
+    assert _sublinear_moments(ms, y) == totient_moments(table_2e5, ms)
+
+
+def test_presieve_rule_breakpoints():
+    assert [_presieve_size(x) for x in (0, 1, PRESIEVE_MIN)] == [0, 1, PRESIEVE_MIN]
+    assert _presieve_size(PRESIEVE_MIN + 1) == PRESIEVE_MIN
+    assert _presieve_size(PRESIEVE_KNEE) == PRESIEVE_MIN
+    assert _presieve_size(PRESIEVE_KNEE + 1) > PRESIEVE_MIN
+    assert _presieve_size(10**7 - 1) < 10**6
+
+
+@pytest.mark.parametrize("x", SUBLINEAR_XS)
+def test_sublinear_matches_the_walk_at_fixed_points(x, table_1e7):
+    # one call also serves the quotients count_set asks for with x
+    ms = [x // 3, x // 2, x - 1, x]
+    assert _sublinear_moments(ms) == totient_moments(table_1e7, ms)
+
+
+@pytest.mark.parametrize("n", [2, 3, 10, 1000, 2**16 + 1, PRESIEVE_KNEE + 2, 10**7])
+def test_counts_agree_with_and_without_a_table(n, table_1e7):
+    assert f_fast(GridQuery(n, 1)) == f_fast(GridQuery(n, 1), table_1e7)
+    assert threshold_count(n) == threshold_count(n, table_1e7)
+    for q in (1, 2, 3, 7):
+        assert count_set(n, q) == count_set(n, q, table_1e7)
+
+
+def test_sublinear_raises_past_the_index_limit_before_sieving(monkeypatch):
+    def refuse(limit):
+        raise RuntimeError(f"sieved to {limit}")
+
+    monkeypatch.setattr(totient, "build_totient_table", refuse)
+    with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
+        _sublinear_moments([5, SIEVE_LIMIT + 1])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        _sublinear_moments([5, 4])
+    with pytest.raises(ValueError, match=">= 0"):
+        _sublinear_moments([-1])
+
+
+@pytest.mark.parametrize(
+    "args", [("fq", "--n", "9999991", "--q", "1"), ("counts", "--n", "9876543", "--q", "2")]
+)
+def test_point_queries_sieve_no_more_than_the_presieve(monkeypatch, args):
+    limits = []
+    sieve = totient.build_totient_table
+
+    def record(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(totient, "build_totient_table", record)
+    r = CliRunner().invoke(main, [*args, "--format", "csv"])
+    assert r.exit_code == 0
+    assert limits and max(limits) <= _presieve_size(int(args[2]) - 1)

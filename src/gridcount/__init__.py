@@ -2,12 +2,13 @@
 
 The package is organized around one exact quantity, the weighted gcd-class
 pair count f_q(n), computed either by definition (f_direct) or through a
-totient identity (f_fast), which reads three weighted totient moments:
-from a walk of a given table (totient_moments), or without one from a
-sublinear recursion over a small presieve.  Segment counts,
-line counts, and the number of linear threshold dichotomies all derive from
-f by exact integer arithmetic.  Independent brute-force oracles cover small grids, and
-the asympt module compares exact values against their n^4 main terms.
+totient identity (f_fast), which reads three weighted totient moments from
+a sublinear recursion over a small presieve.  A caller that keeps its own
+totient table gets the same f from f_from_moments over a totient_moments
+walk of it.  Segment counts, line counts, and the number of linear
+threshold dichotomies all derive from f by exact integer arithmetic.
+Independent brute-force oracles cover small grids, and the asympt module
+compares exact values against their n^4 main terms.
 """
 
 from .asympt import (
@@ -38,9 +39,7 @@ from .counts import (
     lines_at_least,
     lines_exactly,
     segments_count,
-    table_limit_for,
     threshold_count,
-    totient_moments,
 )
 from .errors import ResourceLimitError
 from .oracle import (
@@ -62,6 +61,7 @@ from .totient import (
     e_r,
     iter_error_terms,
     summatory_phi,
+    totient_moments,
 )
 
 __version__ = "0.1.0"
@@ -109,7 +109,6 @@ __all__ = [
     "scan_residuals",
     "segments_count",
     "summatory_phi",
-    "table_limit_for",
     "threshold_count",
     "totient_moments",
 ]

@@ -18,9 +18,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from . import totient
 from .counts import GridQuery, f_fast, f_from_moments
 from .errors import ResourceLimitError
-from .totient import PI_SQUARED, TotientTable, as_int, totient_moments
+from .totient import PI_SQUARED, as_int, totient_moments
 
 RH_EXPONENT = 2.5
 UNCONDITIONAL_EXPONENT = 3.0
@@ -69,8 +70,8 @@ def _n4_term(n: int, q: int, term: Callable[[], float]) -> float:
 
     Every main term is positive, so inf, nan, a value <= 0 and an int too
     large for a float (OverflowError) all mean the term has no usable
-    float: n^4 or a power of q overflowed, or the q factor underflowed or
-    cancelled.  The error names n when 6 n^4 alone overflows, q otherwise.
+    float: n^4 or a power of q overflowed, or the q factor underflowed.
+    The error names n when 6 n^4 alone overflows, q otherwise.
     """
     try:
         value = term()
@@ -100,44 +101,46 @@ def main_term_segments(n: int, q: int) -> float:
 
 
 def main_term_lines_ge(n: int, q: int) -> float:
-    """Leading term of the at-least-q line count, q >= 2."""
+    """Leading term of the at-least-q line count, q >= 2.
+
+    The bracket 1/(q-1)^2 - 1/q^2 cancels as a float difference for
+    large q, so it is taken as (2q - 1) / (q^2 (q-1)^2), one correctly
+    rounded int/int division.
+    """
     n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if n < 1 or q < 2:
         raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
-    return _n4_term(
-        n, q, lambda: 3.0 * n**4 / PI_SQUARED * (1.0 / (q - 1) ** 2 - 1.0 / q**2)
-    )
+    bracket = (2 * q - 1) / (q * q * (q - 1) ** 2)
+    return _n4_term(n, q, lambda: 3.0 * n**4 / PI_SQUARED * bracket)
 
 
 def main_term_lines_eq(n: int, q: int) -> float:
-    """Leading term of the exactly-q line count, q >= 2."""
+    """Leading term of the exactly-q line count, q >= 2.
+
+    The bracket 1/(q+1)^2 - 2/q^2 + 1/(q-1)^2 is taken as
+    (6q^2 - 2) / (q^2 (q^2 - 1)^2), as in main_term_lines_ge.
+    """
     n, q = as_int(n, "grid side n"), as_int(q, "line size q")
     if n < 1 or q < 2:
         raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
-
-    def term() -> float:
-        bracket = 1.0 / (q + 1) ** 2 - 2.0 / q**2 + 1.0 / (q - 1) ** 2
-        return 3.0 * n**4 / PI_SQUARED * bracket
-
-    return _n4_term(n, q, term)
+    bracket = (6 * q * q - 2) / (q * q * (q * q - 1) ** 2)
+    return _n4_term(n, q, lambda: 3.0 * n**4 / PI_SQUARED * bracket)
 
 
-def residual(n: int, q: int, table: TotientTable) -> float:
+def residual(n: int, q: int) -> float:
     """f_q(n) minus its main term, as a float."""
     query = GridQuery(n, q)
-    return f_fast(query, table) - main_term_f(query.n, query.q)
+    return f_fast(query) - main_term_f(query.n, query.q)
 
 
-def scan_residuals(
-    q: int,
-    n_values: Iterable[int],
-    table: TotientTable,
-) -> list[ScanRow]:
+def scan_residuals(q: int, n_values: Iterable[int]) -> list[ScanRow]:
     """Residual rows for each n in an increasing sequence.
 
     ``normalized`` is |residual| / n^4, handy for eyeballing decay against
-    the main-term order.  Row order follows n_values, and all exact counts
-    come from one forward pass of totient_moments.
+    the main-term order.  Row order follows n_values.  Once the arguments
+    are checked, one table is sieved to the largest m = (n - 1) // q the
+    rows read, and all exact counts come from one forward pass of
+    totient_moments over it.
     """
     ns = [as_int(n, "grid side n") for n in n_values]
     if not ns:
@@ -147,6 +150,7 @@ def scan_residuals(
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
     q = GridQuery(ns[-1], q).q  # validates q and the largest n
+    table = totient.build_totient_table(max((ns[-1] - 1) // q, 1))
     rows = []
     for n, moments in zip(ns, totient_moments(table, [(n - 1) // q for n in ns])):
         exact = f_from_moments(n, q, moments)

@@ -214,10 +214,10 @@ def scan_cmd(
     else:
         if step is not None and step < 1:
             raise ValueError(f"--step must be >= 1, got {step}")
-        ns = list(range(n_start, n_end + 1, step or 1))
-    # table_limit_for validates the largest n and q before anything is sieved
-    table = totient.build_totient_table(max(counts.table_limit_for(ns[-1], q), 1))
-    rows = asympt.scan_residuals(q, ns, table)
+        ns = range(n_start, n_end + 1, step or 1)
+    # the largest n and q are checked before any list of n is built
+    counts.GridQuery(ns[-1], q)
+    rows = asympt.scan_residuals(q, ns)
     emit(fmt, SCAN_COLUMNS, _scan_cells(rows))
     if fit:
         slope_fit = asympt.fit_log_exponent(rows)

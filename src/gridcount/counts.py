@@ -17,30 +17,22 @@ gcd follows math.gcd: gcd(0, k) = |k| and gcd(0, 0) = 0, so the zero
 difference never matches any q >= 1.
 
 Every fast count reads the exact weighted totient moments
-S_k(m) = sum_{i<=m} i^k phi(i), k = 0, 1, 2, at its few m.  Given a
-table, it walks it with totient_moments (defined in the totient module,
-next to the table it reads), which needs the table to reach max(m).
-Without one, the totient module's sublinear evaluator computes the same
-sums from a much smaller presieve, so a point query at n = 10^7 never
-sieves to 10^7.  Only decompose_lemma, the independent reference the
-kernel is checked against, reads phi itself.
+S_k(m) = sum_{i<=m} i^k phi(i), k = 0, 1, 2, at its few m, from the
+totient module's sublinear evaluator.  Up to m = 2^18 it sieves to m and
+walks the sieve; above, it works from a presieve of about 10 m^(2/3)
+entries, so a point query at n = 10^7 never sieves to 10^7.  A caller
+that keeps its own sieve gets the same f from f_from_moments over a
+totient_moments walk of it.  Only decompose_lemma, the independent
+reference the kernel is checked against, reads phi itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from .errors import ResourceLimitError
-from .totient import (
-    Moments,
-    TotientTable,
-    _check_table,
-    _sublinear_moments,
-    as_int,
-    totient_moments,
-)
+from .totient import Moments, TotientTable, _check_table, _sublinear_moments, as_int
 
 #: largest accepted grid side; beyond this the sieve alone is unreasonable
 MAX_GRID_N = 10**7
@@ -125,34 +117,26 @@ def f_from_moments(n: int, q: int, moments: Moments) -> int:
     return 4 * (2 * n * n * s0 - 3 * n * q * s1 + q * q * s2)
 
 
-def _moments(ms: Sequence[int], table: TotientTable | None) -> list[Moments]:
-    """Moments at the nondecreasing ms: a walk of table, or sublinear without one."""
-    if table is None:
-        return _sublinear_moments(ms)
-    return totient_moments(table, ms)
-
-
-def f_fast(query: GridQuery, table: TotientTable | None = None) -> int:
+def f_fast(query: GridQuery) -> int:
     """f_q(n) via the totient identity, in exact integer arithmetic.
 
         f_q(n) = 4 sum_{i=1}^{m} (n - qi) (2n - qi) phi(i),  m = floor((n-1)/q)
                = 4 (2n^2 S_0(m) - 3nq S_1(m) + q^2 S_2(m))
 
-    since (n - qi)(2n - qi) = 2n^2 - 3nq i + q^2 i^2.  With a table the
-    moments come from one totient_moments walk of it, O(m); without one,
-    from the sublinear evaluator, about O(m^(2/3)).  Both are exact for
-    every accepted query (m < MAX_GRID_N = 10^7) and give the same value.
+    since (n - qi)(2n - qi) = 2n^2 - 3nq i + q^2 i^2.  The moments come
+    from the sublinear evaluator, about O(m^(2/3)), exact for every
+    accepted query (m < MAX_GRID_N = 10^7).
     """
     n, q = query.n, query.q
-    (moments,) = _moments([(n - 1) // q], table)
+    (moments,) = _sublinear_moments([(n - 1) // q])
     return f_from_moments(n, q, moments)
 
 
-def _f_at(n: int, qs: tuple[int, ...], table: TotientTable | None) -> list[int]:
+def _f_at(n: int, qs: tuple[int, ...]) -> list[int]:
     """f_q(n) for each q in qs, from one moment pass over their distinct m."""
     queries = [GridQuery(n, q) for q in qs]
     ms = sorted({(g.n - 1) // g.q for g in queries})
-    moments = dict(zip(ms, _moments(ms, table)))
+    moments = dict(zip(ms, _sublinear_moments(ms)))
     return [f_from_moments(g.n, g.q, moments[(g.n - 1) // g.q]) for g in queries]
 
 
@@ -204,7 +188,7 @@ def _exactly(n: int, q: int, f_below: int, f_q: int, f_above: int) -> int:
     return _half_exact(num, "second difference of f")
 
 
-def segments_count(n: int, p: int, table: TotientTable | None = None) -> int:
+def segments_count(n: int, p: int) -> int:
     """Segments whose endpoints and interior cover exactly p grid points.
 
     Equals f_{p-1}(n) / 2: each segment is an unordered endpoint pair whose
@@ -213,59 +197,41 @@ def segments_count(n: int, p: int, table: TotientTable | None = None) -> int:
     p = as_int(p, "p")
     if p < 2:
         raise ValueError(f"a segment passes through at least 2 points, got p={p}")
-    f = f_fast(GridQuery(n, p - 1), table)
+    f = f_fast(GridQuery(n, p - 1))
     return _half_exact(f, f"f_{p - 1}({n})")
 
 
-def lines_at_least(n: int, q: int, table: TotientTable | None = None) -> int:
+def lines_at_least(n: int, q: int) -> int:
     """Lines meeting at least q grid points, q >= 2."""
     _need_line_q(q)
-    return _at_least(n, q, *_f_at(n, (q - 1, q), table))
+    return _at_least(n, q, *_f_at(n, (q - 1, q)))
 
 
-def lines_exactly(n: int, q: int, table: TotientTable | None = None) -> int:
+def lines_exactly(n: int, q: int) -> int:
     """Lines meeting exactly q grid points, q >= 2."""
     _need_line_q(q)
-    return _exactly(n, q, *_f_at(n, (q - 1, q, q + 1), table))
+    return _exactly(n, q, *_f_at(n, (q - 1, q, q + 1)))
 
 
-def threshold_count(n: int, table: TotientTable | None = None) -> int:
+def threshold_count(n: int) -> int:
     """Linear threshold dichotomies of the n x n grid: f_1(n) + 2.
 
     The +2 are the two constant classifications, which no separating line
     realizes but the definition admits.
     """
-    return f_fast(GridQuery(n, 1), table) + 2
+    return f_fast(GridQuery(n, 1)) + 2
 
 
-def table_limit_for(n: int, q: int = 1, lines: bool = False) -> int:
-    """Smallest sieve limit that serves f_q(n), or all counts at (n, q).
-
-    With ``lines`` the second difference needs f_{q-1}, hence the wider
-    limit floor((n-1)/(q-1)).  n and q are validated as a GridQuery first,
-    so a bad query raises before any sieve is sized from it.
-    """
-    query = GridQuery(n, q)
-    n, q = query.n, query.q
-    if lines and q >= 2:
-        return (n - 1) // (q - 1)
-    return (n - 1) // q
-
-
-def count_set(n: int, q: int, table: TotientTable | None = None) -> CountSet:
-    """f, segment, and line counts at one (n, q) from a single moment pass.
-
-    As for every count here, a table is walked and no table means the
-    sublinear evaluator; the answers are the same.
-    """
+def count_set(n: int, q: int) -> CountSet:
+    """f, segment, and line counts at one (n, q) from a single moment pass."""
     query = GridQuery(n, q)
     n, q = query.n, query.q
     if q >= 2:
-        f_below, f, f_above = _f_at(n, (q - 1, q, q + 1), table)
+        f_below, f, f_above = _f_at(n, (q - 1, q, q + 1))
         at_least = _at_least(n, q, f_below, f)
         exactly = _exactly(n, q, f_below, f, f_above)
     else:
-        f = f_fast(query, table)
+        f = f_fast(query)
         at_least = None
         exactly = None
     return CountSet(

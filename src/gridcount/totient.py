@@ -4,10 +4,9 @@ evaluator, and second-order error terms.
 The table produced here, phi(i) for all i up to a limit, is read by one
 exact kernel, totient_moments, which returns S_k(m) = sum_{i<=m} i^k phi(i)
 for k = 0, 1, 2 at a nondecreasing list of m in one walk.  The counts
-called without a table use _sublinear_moments instead: the same sums at a
-few large m from the hyperbola recursion over the quotients m // d, whose
-small quotients come from a totient_moments walk of a presieve of about
-10 m^(2/3) entries.  The summatory function is Phi(i) = S_0(i), and
+use _sublinear_moments instead: the same sums at a few large m from the
+hyperbola recursion over the quotients m // d, whose small quotients come
+from a totient_moments walk of a presieve of about 10 m^(2/3) entries.  The summatory function is Phi(i) = S_0(i), and
 sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).  On top of that sit two
 error terms used for growth diagnostics,
 
@@ -36,10 +35,10 @@ from .errors import ResourceLimitError
 
 PI_SQUARED = math.pi**2
 
-#: Largest sieve limit, and so the largest index the table path reads
+#: Largest sieve limit, and so the largest index a table walk reads
 #: (totient_moments, the point queries, the error-term stream).  The
-#: sublinear evaluator behind the table-free counts keeps the same cap on
-#: its moment index, though it sieves only to about 10 m^(2/3).
+#: sublinear evaluator behind the counts keeps the same cap on its moment
+#: index, though it sieves only to about 10 m^(2/3).
 SIEVE_LIMIT = 10**8
 
 # Emitted floats are compared across runs, so the doubled constant is built

@@ -41,13 +41,13 @@ def report(num, ok, detail):
     assert ok, line
 
 
-def test_criterion_1_formula_equivalence(table100):
+def test_criterion_1_formula_equivalence():
     t0 = time.perf_counter()
     bad = [
         (n, q)
         for n in range(1, 61)
         for q in range(1, 13)
-        if f_fast(GridQuery(n, q), table100) != f_direct(GridQuery(n, q))
+        if f_fast(GridQuery(n, q)) != f_direct(GridQuery(n, q))
     ]
     dt = time.perf_counter() - t0
     report(
@@ -58,13 +58,13 @@ def test_criterion_1_formula_equivalence(table100):
     )
 
 
-def test_criterion_2_segments_vs_oracle(table100):
+def test_criterion_2_segments_vs_oracle():
     t0 = time.perf_counter()
     bad = [
         (n, p)
         for n in range(2, 26)
         for p in range(2, n + 1)
-        if segments_count(n, p, table100) != oracle_segments(n, p)
+        if segments_count(n, p) != oracle_segments(n, p)
     ]
     dt = time.perf_counter() - t0
     report(
@@ -75,15 +75,15 @@ def test_criterion_2_segments_vs_oracle(table100):
     )
 
 
-def test_criterion_3_lines_vs_oracle(table100):
+def test_criterion_3_lines_vs_oracle():
     t0 = time.perf_counter()
     bad = []
     for n in range(2, 26):
         hist = oracle_line_histogram(n).counts
         for q in range(2, n + 1):
-            if lines_exactly(n, q, table100) != hist.get(q, 0):
+            if lines_exactly(n, q) != hist.get(q, 0):
                 bad.append(("exactly", n, q))
-            if lines_at_least(n, q, table100) != sum(
+            if lines_at_least(n, q) != sum(
                 c for p, c in hist.items() if p >= q
             ):
                 bad.append(("at_least", n, q))
@@ -99,24 +99,24 @@ def test_criterion_3_lines_vs_oracle(table100):
     )
 
 
-def test_criterion_4_fixed_values(table100):
+def test_criterion_4_fixed_values():
     checks = {
-        "f_1(2)": (f_fast(GridQuery(2, 1), table100), 12),
-        "f_1(3)": (f_fast(GridQuery(3, 1), table100), 56),
-        "f_2(3)": (f_fast(GridQuery(3, 2), table100), 16),
-        "s_2(3)": (segments_count(3, 2, table100), 28),
-        "l_ge2(3)": (lines_at_least(3, 2, table100), 20),
-        "l_2(3)": (lines_exactly(3, 2, table100), 12),
-        "l_3(3)": (lines_exactly(3, 3, table100), 8),
-        "t(2)": (threshold_count(2, table100), 14),
-        "t(3)": (threshold_count(3, table100), 58),
+        "f_1(2)": (f_fast(GridQuery(2, 1)), 12),
+        "f_1(3)": (f_fast(GridQuery(3, 1)), 56),
+        "f_2(3)": (f_fast(GridQuery(3, 2)), 16),
+        "s_2(3)": (segments_count(3, 2), 28),
+        "l_ge2(3)": (lines_at_least(3, 2), 20),
+        "l_2(3)": (lines_exactly(3, 2), 12),
+        "l_3(3)": (lines_exactly(3, 3), 8),
+        "t(2)": (threshold_count(2), 14),
+        "t(3)": (threshold_count(3), 58),
     }
     # the sort-sweep oracle is proved complete, so its check runs past the
     # CLI cap of THRESHOLD_GRID_LIMIT
     for n in range(1, 13):
         checks[f"oracle_t({n})"] = (
             oracle_threshold_count(n, force=True),
-            f_fast(GridQuery(n, 1), table100) + 2,
+            f_fast(GridQuery(n, 1)) + 2,
         )
     bad = {k: v for k, v in checks.items() if v[0] != v[1]}
     report(
@@ -133,7 +133,7 @@ def test_criterion_5_lemma_identity(table100):
         for n in range(1, 51)
         for q in range(1, 11)
         if decompose_lemma(GridQuery(n, q), table100).recombined()
-        != f_fast(GridQuery(n + 1, q), table100)
+        != f_fast(GridQuery(n + 1, q))
     ]
     report(
         5,
@@ -143,14 +143,14 @@ def test_criterion_5_lemma_identity(table100):
     )
 
 
-def test_criterion_6_decay_and_slope(table10k):
+def test_criterion_6_decay_and_slope():
     t0 = time.perf_counter()
     ratios = {}
     for q in (1, 2, 3):
-        small = scan_residuals(q, [100], table10k)[0].normalized
-        large = scan_residuals(q, [10**4], table10k)[0].normalized
+        small = scan_residuals(q, [100])[0].normalized
+        large = scan_residuals(q, [10**4])[0].normalized
         ratios[q] = large / small
-    rows = scan_residuals(1, [2**k for k in range(7, 14)], table10k)
+    rows = scan_residuals(1, [2**k for k in range(7, 14)])
     slope = fit_log_exponent(rows).slope
     dt = time.perf_counter() - t0
     ok = all(r < 0.1 for r in ratios.values()) and slope < 3.0 and dt < 30.0
@@ -190,14 +190,14 @@ def test_criterion_7_error_term_sanity(table10k):
 
 def test_criterion_8_performance():
     t0 = time.perf_counter()
-    big = build_totient_table(10**7)
+    build_totient_table(10**7)
     sieve_dt = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    f6 = f_fast(GridQuery(10**6, 1), big)
+    f6 = f_fast(GridQuery(10**6, 1))
     fast_dt = time.perf_counter() - t0
 
-    f5 = f_fast(GridQuery(10**5, 1), big)
+    f5 = f_fast(GridQuery(10**5, 1))
     wide_ok = f5 > 2**63
     ok = sieve_dt <= 5.0 and fast_dt <= 1.0 and wide_ok and f6 > f5
     report(
@@ -208,7 +208,7 @@ def test_criterion_8_performance():
     )
 
 
-def test_criterion_9_determinism(table100, direct_scan_csv):
+def test_criterion_9_determinism(direct_scan_csv):
     args = [
         "scan", "--q", "1", "--n-start", "2", "--n-end", "128",
         "--geometric", "--format", "csv",
@@ -221,7 +221,7 @@ def test_criterion_9_determinism(table100, direct_scan_csv):
     mismatched = [
         q
         for q in (1, 2, 3)
-        if render_scan("csv", scan_residuals(q, ns, table100))
+        if render_scan("csv", scan_residuals(q, ns))
         != direct_scan_csv(q, ns)
     ]
     report(

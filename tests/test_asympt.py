@@ -1,6 +1,7 @@
 """Main terms, residual scans, and the log-log exponent fit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ class TestMainTerms:
             3e4 / PI_SQUARED * (1 / 9 - 2 / 4 + 1), rel=1e-15
         )
         assert main_term_lines_eq(10, 2) == pytest.approx(1857.555, abs=5e-4)
+
+    @pytest.mark.parametrize("q", [2, 10**4, 10**8, 10**9, 10**16, 10**17])
+    @pytest.mark.parametrize("n", [10, 10**6])
+    def test_lines_exact_bracket(self, n, q):
+        # the float difference of the bracket cancels long before q overflows
+        scale = Fraction(3 * n**4) / Fraction(PI_SQUARED)
+        ge = Fraction(1, (q - 1) ** 2) - Fraction(1, q**2)
+        eq = Fraction(1, (q + 1) ** 2) - 2 * Fraction(1, q**2) + Fraction(1, (q - 1) ** 2)
+        assert main_term_lines_ge(n, q) == pytest.approx(float(scale * ge), rel=1e-14)
+        assert main_term_lines_eq(n, q) == pytest.approx(float(scale * eq), rel=1e-14)
 
     def test_eq_is_ge_difference(self):
         for n in (5, 12, 100):
@@ -115,29 +126,29 @@ class TestMainTerms:
 
 
 class TestResidual:
-    def test_known(self, table100):
-        assert residual(2, 1, table100) == pytest.approx(
+    def test_known(self):
+        assert residual(2, 1) == pytest.approx(
             12 - 96 / PI_SQUARED, rel=1e-14
         )
-        assert residual(3, 2, table100) == pytest.approx(
+        assert residual(3, 2) == pytest.approx(
             16 - 486 / (4 * PI_SQUARED), rel=1e-14
         )
         # f is 0 here, so the residual is minus the main term
-        assert residual(5, 7, table100) == pytest.approx(
+        assert residual(5, 7) == pytest.approx(
             -3750 / (49 * PI_SQUARED), rel=1e-14
         )
 
-    def test_exact_recovery(self, table100):
+    def test_exact_recovery(self):
         for n in (2, 7, 30, 99):
             for q in (1, 2, 3):
-                back = residual(n, q, table100) + main_term_f(n, q)
-                exact = f_fast(GridQuery(n, q), table100)
+                back = residual(n, q) + main_term_f(n, q)
+                exact = f_fast(GridQuery(n, q))
                 assert back == pytest.approx(exact, rel=1e-12)
 
 
 class TestScan:
-    def test_rows(self, table100):
-        rows = scan_residuals(1, [2, 3, 4], table100)
+    def test_rows(self):
+        rows = scan_residuals(1, [2, 3, 4])
         assert [r.n for r in rows] == [2, 3, 4]
         assert rows[0].exact == 12
         assert rows[0].q == 1
@@ -146,22 +157,20 @@ class TestScan:
             abs(rows[0].residual) / 16, rel=1e-14
         )
 
-    def test_validation(self, table100):
+    def test_validation(self):
         with pytest.raises(ValueError):
-            scan_residuals(1, [], table100)
+            scan_residuals(1, [])
         with pytest.raises(ValueError):
-            scan_residuals(1, [3, 3], table100)
+            scan_residuals(1, [3, 3])
         with pytest.raises(ValueError):
-            scan_residuals(1, [5, 2], table100)
+            scan_residuals(1, [5, 2])
         with pytest.raises(ValueError):
-            scan_residuals(1, [0, 2], table100)
-        with pytest.raises(ValueError, match="too small"):
-            scan_residuals(1, [2, 500], table100)
+            scan_residuals(1, [0, 2])
 
-    def test_csv_matches_direct_rows(self, table100, direct_scan_csv):
+    def test_csv_matches_direct_rows(self, direct_scan_csv):
         ns = list(range(2, 100, 3))
         for q in (1, 2, 3):
-            csv = render_scan("csv", scan_residuals(q, ns, table100))
+            csv = render_scan("csv", scan_residuals(q, ns))
             assert csv == direct_scan_csv(q, ns), q
 
 

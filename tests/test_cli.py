@@ -1,6 +1,7 @@
 """CLI surface: schemas, formats, exit codes, reproducibility."""
 
 import json
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -215,6 +216,21 @@ class TestErrorContract:
         r = run(runner, "counts", "--n", "5", "--q", "0")
         assert r.exit_code == 1
         assert r.stderr == "error: invalid-argument: gcd class q must be >= 1, got 0\n"
+
+    def test_oversized_scan_fails_before_listing_n(self, runner):
+        # the largest n of the progression is checked before any list of n
+        tracemalloc.start()
+        try:
+            r = run(runner, "scan", "--q", "1", "--n-start", "1", "--n-end", "10000001")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert r.exit_code == 1
+        assert r.stderr == (
+            "error: resource-limit: grid side 10000001 exceeds the supported"
+            " maximum 10000000\n"
+        )
+        assert peak < 1 << 20
 
     def test_huge_q_scan_one_line_error(self, runner):
         q = str(10**400)

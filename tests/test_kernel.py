@@ -1,5 +1,6 @@
 """The exact moment kernel behind every fast count: totient_moments, and the
-sublinear evaluator that gives the same sums without a table to max(m)."""
+sublinear evaluator the counts use, which gives the same sums without a
+table to max(m)."""
 
 import numpy as np
 import pytest
@@ -75,9 +76,9 @@ def test_kernel_matches_direct(n, q, table100):
 
 @given(n=st.integers(1, 5000), q=st.integers(2, 50))
 @settings(max_examples=100, deadline=None)
-def test_count_set_matches_separate_f(n, q, table10k):
-    f_below, f, f_above = (f_fast(GridQuery(n, k), table10k) for k in (q - 1, q, q + 1))
-    assert count_set(n, q, table10k) == CountSet(
+def test_count_set_matches_separate_f(n, q):
+    f_below, f, f_above = (f_fast(GridQuery(n, k)) for k in (q - 1, q, q + 1))
+    assert count_set(n, q) == CountSet(
         n=n,
         q=q,
         f=f,
@@ -103,7 +104,7 @@ def test_f_fast_matches_term_loop_over_many_blocks(q):
     loop = 4 * sum(
         (n - q * i) * (2 * n - q * i) * phi[i] for i in range(1, (n - 1) // q + 1)
     )
-    assert f_fast(GridQuery(n, q), table) == loop
+    assert f_fast(GridQuery(n, q)) == loop
 
 
 def test_many_targets_across_block_edges():
@@ -247,10 +248,20 @@ def test_sublinear_matches_the_walk_at_fixed_points(x, table_1e7):
 
 @pytest.mark.parametrize("n", [2, 3, 10, 1000, 2**16 + 1, PRESIEVE_KNEE + 2, 10**7])
 def test_counts_agree_with_and_without_a_table(n, table_1e7):
-    assert f_fast(GridQuery(n, 1)) == f_fast(GridQuery(n, 1), table_1e7)
-    assert threshold_count(n) == threshold_count(n, table_1e7)
+    # the table-free counts against f from a walk of a full table
+    def walked(q):
+        (moments,) = totient_moments(table_1e7, [(n - 1) // q])
+        return f_from_moments(n, q, moments)
+
+    assert f_fast(GridQuery(n, 1)) == walked(1)
+    assert threshold_count(n) == walked(1) + 2
     for q in (1, 2, 3, 7):
-        assert count_set(n, q) == count_set(n, q, table_1e7)
+        cs = count_set(n, q)
+        assert cs.f == walked(q) and cs.segments == walked(q) // 2
+        if q >= 2:
+            f_below, f, f_above = walked(q - 1), walked(q), walked(q + 1)
+            assert cs.lines_at_least == (f_below - f) // 2
+            assert cs.lines_exactly == (f_above - 2 * f + f_below) // 2
 
 
 def test_sublinear_raises_past_the_index_limit_before_sieving(monkeypatch):

@@ -195,10 +195,10 @@ class TestThreshold:
         with pytest.raises(ResourceLimitError):
             oracle_threshold_count(5)
 
-    def test_force_lifts(self, table100):
+    def test_force_lifts(self):
         from gridcount import threshold_count
 
-        assert oracle_threshold_count(5, force=True) == threshold_count(5, table100)
+        assert oracle_threshold_count(5, force=True) == threshold_count(5)
 
     def test_bad_n(self):
         with pytest.raises(ValueError):

@@ -5,8 +5,11 @@ pair count f_q(n), computed either by definition (f_direct) or through a
 totient identity (f_fast), which reads three weighted totient moments from
 a sublinear recursion over a small presieve.  A caller that keeps its own
 totient table gets the same f from f_from_moments over a totient_moments
-walk of it.  Segment counts, line counts, and the number of linear
-threshold dichotomies all derive from f by exact integer arithmetic.
+walk of it.  The totient error terms (summatory_phi, e_phi, e_r and the
+iter_error_terms stream) likewise size their own sieve from the index
+they are asked for.  Segment counts, line counts, and the number of
+linear threshold dichotomies all derive from f by exact integer
+arithmetic.
 Independent brute-force oracles cover small grids, and the asympt module
 compares exact values against their n^4 main terms.
 """

@@ -288,12 +288,7 @@ def errterms_cmd(m_max: int, every: int, fmt: str) -> None:
     """Summatory totient Phi(m) with both error terms, streamed."""
     if m_max < 1:
         raise ValueError(f"--m-max must be >= 1, got {m_max}")
-    # every argument check runs before the sieve, in the order the sieve
-    # and the row stream would raise them
-    totient.check_sieve_limit(m_max)
-    totient.check_every(every)
-    table = totient.build_totient_table(m_max)
-    rows = totient.iter_error_terms(table, m_max, every)
+    rows = totient.iter_error_terms(m_max, every)
     emit(fmt, ("m", "phi_sum", "e_phi", "e_r"), rows)
 
 

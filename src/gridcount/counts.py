@@ -34,7 +34,10 @@ from dataclasses import dataclass
 from .errors import ResourceLimitError
 from .totient import Moments, TotientTable, _check_table, _sublinear_moments, as_int
 
-#: largest accepted grid side; beyond this the sieve alone is unreasonable
+#: Largest accepted grid side.  The counts sieve only a presieve, at most
+#: 464,160 entries at this n, so the cap now bounds scan, which sieves to
+#: (n - 1) // q (40 MB of phi at q = 1), and keeps every n inside the
+#: range the tests check.  ROADMAP item 9 lifts it.
 MAX_GRID_N = 10**7
 
 

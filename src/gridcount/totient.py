@@ -3,21 +3,22 @@ evaluator, and second-order error terms.
 
 The table produced here, phi(i) for all i up to a limit, is read by one
 exact kernel, totient_moments, which returns S_k(m) = sum_{i<=m} i^k phi(i)
-for k = 0, 1, 2 at a nondecreasing list of m in one walk.  The counts
-use _sublinear_moments instead: the same sums at a few large m from the
-hyperbola recursion over the quotients m // d, whose small quotients come
-from a totient_moments walk of a presieve of about 10 m^(2/3) entries.  The summatory function is Phi(i) = S_0(i), and
+for k = 0, 1, 2 at a nondecreasing list of m in one walk.  The counts and
+the point queries use _sublinear_moments instead: the same sums at a few
+large m from the hyperbola recursion over the quotients m // d, whose
+small quotients come from a totient_moments walk of a presieve of about
+10 m^(2/3) entries.  The summatory function is Phi(i) = S_0(i), and
 sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).  On top of that sit two
 error terms used for growth diagnostics,
 
     e_phi(i) = Phi(i) - 3 i^2 / pi^2
     e_r(i)   = sum_{j<=i} e_phi(j) - 3 i^2 / (2 pi^2)
 
-both reported as floats while all integer parts stay exact.  The kernel,
-the point queries, the error-term stream and the presieve of the
-sublinear evaluator all read phi through one private walk, exact for
-every index up to SIEVE_LIMIT, the one cap on the sieve and on every
-moment index.
+both reported as floats while all integer parts stay exact.  Every query
+sizes its own sieve: the point queries sieve only the presieve, and the
+error-term stream sieves to its largest index.  Each sieve is read
+through one private walk, exact for every index up to SIEVE_LIMIT, the
+one cap on the sieve and on every moment index.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from .errors import ResourceLimitError
 PI_SQUARED = math.pi**2
 
 #: Largest sieve limit, and so the largest index a table walk reads
-#: (totient_moments, the point queries, the error-term stream).  The
-#: sublinear evaluator behind the counts keeps the same cap on its moment
-#: index, though it sieves only to about 10 m^(2/3).
+#: (totient_moments, the error-term stream).  The sublinear evaluator
+#: behind the counts and the point queries keeps the same cap on its
+#: moment index, though it sieves only to about 10 m^(2/3).
 SIEVE_LIMIT = 10**8
 
 # Emitted floats are compared across runs, so the doubled constant is built
@@ -284,13 +285,13 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
 
     Every m <= y, and every quotient m // d <= y of a larger m, is read
     from one totient_moments walk of a table sieved to the largest of them,
-    at most y.  The quotients
-    above y are then filled in from the smallest up by _moments_from_below,
-    whose every argument v // e is again a quotient of the same m; one
-    memo serves all ms.  This is the hyperbola method of Deleglise and
-    Rivat (Exp. Math. 5, 1996) on the identity (i^k phi) * i^k = i^(k+1).
-    y defaults to _presieve_size(max(ms)); any y in 1..max(ms) gives the
-    same sums.  Every sum is a plain Python int, so all are exact.
+    at most y.  The quotients above y are then filled in from the smallest
+    up by _moments_from_below, whose every argument v // e is again a
+    quotient of the same m; one memo serves all ms.  This is the hyperbola
+    method of Deleglise and Rivat (Exp. Math. 5, 1996) on the identity
+    (i^k phi) * i^k = i^(k+1).  y defaults to _presieve_size(max(ms)); any
+    y in 1..max(ms) gives the same sums.  Every sum is a plain Python int,
+    so all are exact.
     """
     ms = _check_ms(ms)
     x = ms[-1] if ms else 0
@@ -310,24 +311,23 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
     return [memo[m] for m in ms]
 
 
-def _check_index(table: TotientTable, i: object, what: str = "index i") -> int:
-    """i as a plain int, which must lie in 1..table.limit."""
-    i = as_int(i, what)
-    if not 1 <= i <= table.limit:
-        raise ValueError(f"index {i} outside table range 1..{table.limit}")
-    return i
+def _point_moments(i: object) -> tuple[int, Moments]:
+    """i as a plain int, which must be >= 1, and its moments from _sublinear_moments."""
+    i = as_int(i, "index i")
+    if i < 1:
+        raise ValueError(f"index i must be >= 1, got {i}")
+    (moments,) = _sublinear_moments([i])
+    return i, moments
 
 
-def summatory_phi(table: TotientTable, i: int) -> int:
+def summatory_phi(i: int) -> int:
     """Phi(i) = sum of phi(j) for j <= i, exact: S_0(i)."""
-    ((s0, _, _),) = totient_moments(table, [_check_index(table, i)])
-    return s0
+    return _point_moments(i)[1][0]
 
 
-def e_phi(table: TotientTable, i: int) -> float:
+def e_phi(i: int) -> float:
     """First error term Phi(i) - 3 i^2 / pi^2."""
-    i = _check_index(table, i)
-    ((s0, _, _),) = totient_moments(table, [i])
+    i, (s0, _, _) = _point_moments(i)
     return _e_phi_from_sum(s0, i)
 
 
@@ -344,37 +344,34 @@ def _e_r_from_prefix(second_prefix: int, i: int) -> float:
     return float(second_prefix - Fraction(w) / _TWO_PI_SQUARED)
 
 
-def e_r(table: TotientTable, i: int) -> float:
+def e_r(i: int) -> float:
     """Second error term: prefix-summed e_phi minus 3 i^2 / (2 pi^2).
 
     sum_{j<=i} Phi(j) = sum_{k<=i} (i + 1 - k) phi(k) = (i + 1) S_0(i) - S_1(i).
     """
-    i = _check_index(table, i)
-    ((s0, s1, _),) = totient_moments(table, [i])
+    i, (s0, s1, _) = _point_moments(i)
     return _e_r_from_prefix((i + 1) * s0 - s1, i)
 
 
 def iter_error_terms(
-    table: TotientTable, m_max: int, every: int = 1
+    m_max: int, every: int = 1
 ) -> Iterator[tuple[int, int, float, float]]:
     """Rows (m, Phi(m), e_phi(m), e_r(m)) for m = every, 2*every, ... <= m_max.
 
-    Each row reads S_0 and S_1 at m from the same walk as the point
-    queries, so every value matches e_phi() and e_r() to the last bit.  The
-    arguments are checked at the call, before the first row is asked for.
+    The arguments are checked at the call, m_max >= 1, then the sieve
+    budget, then every >= 1, before phi is sieved to m_max.  Each row reads
+    S_0 and S_1 at m from one walk of that table; the sums are exact and
+    the floats come from the point queries' formulas, so every value
+    matches e_phi() and e_r() to the last bit.
     """
-    m_max = _check_index(table, m_max, "m_max")
-    every = check_every(every)
-    _check_table(table, m_max)
-    return _error_term_rows(table, range(every, m_max + 1, every))
-
-
-def check_every(every: object) -> int:
-    """The row stride of iter_error_terms as an int, or raise unless >= 1."""
+    m_max = as_int(m_max, "m_max")
+    if m_max < 1:
+        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    check_sieve_limit(m_max)
     every = as_int(every, "every")
     if every < 1:
         raise ValueError(f"every must be >= 1, got {every}")
-    return every
+    return _error_term_rows(build_totient_table(m_max), range(every, m_max + 1, every))
 
 
 def _error_term_rows(

@@ -163,7 +163,7 @@ def test_criterion_6_decay_and_slope():
     )
 
 
-def test_criterion_7_error_term_sanity(table10k):
+def test_criterion_7_error_term_sanity():
     table1m = build_totient_table(10**6)
     m = np.arange(1, 10**6 + 1, dtype=np.float64)
     pre = np.cumsum(table1m.phi[1:], dtype=np.int64)
@@ -174,7 +174,7 @@ def test_criterion_7_error_term_sanity(table10k):
     acc = 0.0
     max_diff = 0.0
     for i, (_, _, ep, er_exact) in enumerate(
-        iter_error_terms(table10k, 10**4), start=1
+        iter_error_terms(10**4), start=1
     ):
         acc += ep
         naive = acc - 3.0 * i * i / (2.0 * PI_SQUARED)

@@ -164,20 +164,32 @@ def test_index_guard_raises_before_reading_the_table():
 
 
 @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
-def test_point_queries_raise_at_the_index_limit_before_reading(fn):
-    table = TotientTable(limit=2 * SIEVE_LIMIT, phi=ExplodingPhi())
+def test_point_queries_raise_at_the_index_limit_before_reading(fn, monkeypatch):
+    limits = []
+
+    def refuse(limit):
+        limits.append(limit)
+        raise RuntimeError(f"sieved to {limit}")
+
+    monkeypatch.setattr(totient, "build_totient_table", refuse)
     with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
-        fn(table, SIEVE_LIMIT + 1)
-    with pytest.raises(LookupError):
-        fn(table, SIEVE_LIMIT)
+        fn(SIEVE_LIMIT + 1)
+    assert limits == []
+    # at the cap itself the sieve asked for is the presieve, not a table to i
+    with pytest.raises(RuntimeError, match="sieved to"):
+        fn(SIEVE_LIMIT)
+    assert len(limits) == 1 and limits[0] <= _presieve_size(SIEVE_LIMIT)
 
 
-def test_error_term_stream_raises_at_the_index_limit_before_reading():
-    table = TotientTable(limit=2 * SIEVE_LIMIT, phi=ExplodingPhi())
-    with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
-        iter_error_terms(table, SIEVE_LIMIT + 1)
-    with pytest.raises(LookupError):
-        next(iter_error_terms(table, SIEVE_LIMIT, every=SIEVE_LIMIT))
+def test_error_term_stream_raises_at_the_index_limit_before_reading(monkeypatch):
+    def refuse(limit):
+        raise RuntimeError(f"sieved to {limit}")
+
+    monkeypatch.setattr(totient, "build_totient_table", refuse)
+    with pytest.raises(ResourceLimitError, match=f"exceeds budget {SIEVE_LIMIT}$"):
+        iter_error_terms(SIEVE_LIMIT + 1)
+    with pytest.raises(RuntimeError, match=f"sieved to {SIEVE_LIMIT}$"):
+        iter_error_terms(SIEVE_LIMIT, every=SIEVE_LIMIT)
 
 
 def test_validation(table100):

@@ -18,6 +18,7 @@ from gridcount import (
     e_r,
     iter_error_terms,
     summatory_phi,
+    totient_moments,
 )
 
 
@@ -53,7 +54,7 @@ class TestSieveCrossCheck:
             t = build_totient_table(limit)
             assert t.limit == limit
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
-            assert summatory_phi(t, limit) == ref_prefix[limit], limit
+            assert totient_moments(t, [limit])[0][0] == ref_prefix[limit], limit
 
     @pytest.mark.parametrize("block", [7, 64])
     def test_small_blocks(self, monkeypatch, block):
@@ -64,7 +65,7 @@ class TestSieveCrossCheck:
         for limit in range(1, 2001):
             t = build_totient_table(limit)
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
-            assert summatory_phi(t, limit) == ref_prefix[limit], limit
+            assert totient_moments(t, [limit])[0][0] == ref_prefix[limit], limit
 
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -80,7 +81,7 @@ class TestSieveCrossCheck:
         t = build_totient_table(10**6)
         assert np.array_equal(t.phi, ref_phi)
         assert np.array_equal(np.cumsum(t.phi, dtype=np.int64), ref_prefix)
-        assert summatory_phi(t, 10**6) == ref_prefix[-1]
+        assert summatory_phi(10**6) == ref_prefix[-1]
 
     @pytest.mark.parametrize("limit", [1, 2, 4, 1000, 10**5])
     def test_layout(self, limit):
@@ -110,7 +111,7 @@ class TestSieve:
         t = build_totient_table(1)
         assert t.limit == 1
         assert int(t.phi[1]) == 1
-        assert summatory_phi(t, 1) == 1
+        assert summatory_phi(1) == 1
 
     def test_small_values(self, table100):
         assert int(table100.phi[7]) == 6
@@ -132,11 +133,11 @@ class TestSieve:
             assert total == k
 
     def test_prefix_consistent(self, table100):
-        pre = [0] + [summatory_phi(table100, i) for i in range(1, 101)]
+        pre = [0] + [summatory_phi(i) for i in range(1, 101)]
         assert np.array_equal(np.diff(pre), table100.phi[1:])
 
-    def test_prefix_strictly_increasing(self, table100):
-        pre = [summatory_phi(table100, i) for i in range(1, 101)]
+    def test_prefix_strictly_increasing(self):
+        pre = [summatory_phi(i) for i in range(1, 101)]
         assert np.all(np.diff(pre) > 0)
 
     def test_arrays_read_only(self, table100):
@@ -161,46 +162,46 @@ class TestSieve:
 
 
 class TestSummatory:
-    def test_values(self, table100):
-        assert summatory_phi(table100, 1) == 1
-        assert summatory_phi(table100, 4) == 6
-        assert summatory_phi(table100, 10) == 32
+    def test_values(self):
+        assert summatory_phi(1) == 1
+        assert summatory_phi(4) == 6
+        assert summatory_phi(10) == 32
 
-    def test_range_check(self, table100):
-        with pytest.raises(ValueError):
-            summatory_phi(table100, 0)
-        with pytest.raises(ValueError):
-            summatory_phi(table100, 101)
+    def test_range_check(self):
+        with pytest.raises(ValueError, match="index i must be >= 1, got 0"):
+            summatory_phi(0)
 
 
 class TestErrorTerms:
-    def test_e_phi_values(self, table100):
-        assert e_phi(table100, 1) == pytest.approx(1 - 3 / PI_SQUARED, rel=1e-14)
-        assert e_phi(table100, 4) == pytest.approx(6 - 48 / PI_SQUARED, rel=1e-14)
-        assert e_phi(table100, 10) == pytest.approx(32 - 300 / PI_SQUARED, rel=1e-14)
+    def test_e_phi_values(self):
+        assert e_phi(1) == pytest.approx(1 - 3 / PI_SQUARED, rel=1e-14)
+        assert e_phi(4) == pytest.approx(6 - 48 / PI_SQUARED, rel=1e-14)
+        assert e_phi(10) == pytest.approx(32 - 300 / PI_SQUARED, rel=1e-14)
 
-    def test_e_r_values(self, table100):
-        assert e_r(table100, 1) == pytest.approx(1 - 4.5 / PI_SQUARED, rel=1e-12)
+    def test_e_r_values(self):
+        assert e_r(1) == pytest.approx(1 - 4.5 / PI_SQUARED, rel=1e-12)
         # sum of Phi(1) + Phi(2) is 3, and the subtracted term is 21 / pi^2
-        assert e_r(table100, 2) == pytest.approx(3 - 21 / PI_SQUARED, rel=1e-12)
-        assert e_r(table100, 5) == pytest.approx(23 - 202.5 / PI_SQUARED, rel=1e-12)
+        assert e_r(2) == pytest.approx(3 - 21 / PI_SQUARED, rel=1e-12)
+        assert e_r(5) == pytest.approx(23 - 202.5 / PI_SQUARED, rel=1e-12)
 
     def test_e_r_single_rounding(self, table10k):
-        # reference value with the whole correction kept rational
+        # reference value with the whole correction kept rational; Phi(j) is
+        # a plain cumsum of the sieve, no moment walk
         two_pi2 = Fraction(2.0 * PI_SQUARED)
+        big_phi = np.cumsum(table10k.phi, dtype=np.int64).tolist()
         for i in (3, 17, 100, 999, 10**4):
-            s = sum(summatory_phi(table10k, j) for j in range(1, i + 1))
+            s = sum(big_phi[1 : i + 1])
             w = 6 * (i * (i + 1) * (2 * i + 1) // 6) + 3 * i * i
             expected = float(Fraction(s) - Fraction(w) / two_pi2)
-            assert e_r(table10k, i) == expected
+            assert e_r(i) == expected
 
-    def test_e_r_agrees_with_float_path(self, table10k):
+    def test_e_r_agrees_with_float_path(self):
         # naive accumulation of e_phi floats stays within 1e-6 of the exact path
         acc = 0.0
-        for i in range(1, 501):
-            acc += e_phi(table10k, i)
+        for i, _, ep, er in iter_error_terms(500):
+            acc += ep
             naive = acc - 3.0 * i * i / (2.0 * PI_SQUARED)
-            assert abs(e_r(table10k, i) - naive) <= 1e-6, i
+            assert abs(er - naive) <= 1e-6, i
 
     def test_envelope_small(self, table10k):
         # |e_phi(m)| <= 10 m log(m + 2), loose version of the growth bound
@@ -209,42 +210,43 @@ class TestErrorTerms:
             bound = 10.0 * m * math.log(m + 2)
             assert abs(float(pre[m]) - 3.0 * m * m / PI_SQUARED) <= bound, m
 
-    def test_range_checks(self, table100):
+    def test_range_checks(self):
         for fn in (e_phi, e_r):
-            with pytest.raises(ValueError):
-                fn(table100, 0)
-            with pytest.raises(ValueError):
-                fn(table100, 101)
+            with pytest.raises(ValueError, match="index i must be >= 1, got 0"):
+                fn(0)
 
 
 class TestIterErrorTerms:
-    def test_matches_pointwise(self, table100):
-        rows = list(iter_error_terms(table100, 20))
+    def test_matches_pointwise(self):
+        rows = list(iter_error_terms(20))
         assert [r[0] for r in rows] == list(range(1, 21))
         for m, phi_sum, ep, er in rows:
-            assert phi_sum == summatory_phi(table100, m)
-            assert ep == e_phi(table100, m)
-            assert er == e_r(table100, m)
+            assert phi_sum == summatory_phi(m)
+            assert ep == e_phi(m)
+            assert er == e_r(m)
 
-    def test_every(self, table100):
-        rows = list(iter_error_terms(table100, 50, every=10))
+    def test_every(self):
+        rows = list(iter_error_terms(50, every=10))
         assert [r[0] for r in rows] == [10, 20, 30, 40, 50]
 
-    def test_bad_args(self, table100):
-        with pytest.raises(ValueError):
-            list(iter_error_terms(table100, 0))
-        with pytest.raises(ValueError):
-            list(iter_error_terms(table100, 200))
-        with pytest.raises(ValueError):
-            list(iter_error_terms(table100, 10, every=0))
+    def test_bad_args(self):
+        with pytest.raises(ValueError, match="m_max must be >= 1, got 0"):
+            list(iter_error_terms(0))
+        with pytest.raises(ValueError, match="every must be >= 1, got 0"):
+            list(iter_error_terms(10, every=0))
 
     @pytest.mark.parametrize(
         "m_max, every, exc",
-        [(0, 1, ValueError), (200, 1, ValueError), (10, 0, ValueError), (10, True, TypeError)],
+        [
+            (0, 1, ValueError),
+            (SIEVE_LIMIT + 1, 1, ResourceLimitError),
+            (10, 0, ValueError),
+            (10, True, TypeError),
+        ],
     )
-    def test_bad_args_raise_at_the_call(self, table100, m_max, every, exc):
+    def test_bad_args_raise_at_the_call(self, m_max, every, exc):
         with pytest.raises(exc):
-            iter_error_terms(table100, m_max, every=every)
+            iter_error_terms(m_max, every=every)
 
 
 def reference_error_term_rows(table, m_max, every):
@@ -278,48 +280,60 @@ class TestStreamAgainstReference:
     def test_rows_equal(self, table, every):
         reference = list(reference_error_term_rows(table, 2**16 + 1, every))
         for m_max in (2**16 - 1, 2**16, 2**16 + 1):
-            rows = list(iter_error_terms(table, m_max, every))
+            rows = list(iter_error_terms(m_max, every))
             assert rows == [r for r in reference if r[0] <= m_max], (m_max, every)
 
-    def test_point_queries_past_2_to_the_24(self):
+    def test_point_queries_past_2_to_the_24(self, monkeypatch):
         i = 2**24 + 5
         t = build_totient_table(i)
-        ((m, phi_sum, ep, er),) = iter_error_terms(t, i, every=i)
+        with monkeypatch.context() as patch:
+            # the stream walks this table instead of sieving a second one
+            patch.setattr(totient, "build_totient_table", lambda limit: t)
+            ((m, phi_sum, ep, er),) = iter_error_terms(i, every=i)
         assert m == i
         assert phi_sum == int(t.phi.sum(dtype=np.int64))
-        assert summatory_phi(t, i) == phi_sum
-        assert e_phi(t, i) == ep
-        assert e_r(t, i) == er
+        assert summatory_phi(i) == phi_sum
+        assert e_phi(i) == ep
+        assert e_r(i) == er
+
+    @pytest.mark.parametrize("i", [2**18, 2**18 + 1, 4_244_361, 4_244_362])
+    def test_point_queries_equal_the_stream_row(self, i):
+        # either side of the presieve rule's breakpoints: below 2^18 the
+        # point queries walk a sieve to i, above 4,244,361 the presieve grows
+        ((m, phi_sum, ep, er),) = iter_error_terms(i, every=i)
+        assert m == i
+        assert summatory_phi(i) == phi_sum
+        assert e_phi(i) == ep
+        assert e_r(i) == er
 
 
 class TestIntegerArguments:
     @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
-    def test_numpy_index_is_a_plain_int(self, fn, table100):
+    def test_numpy_index_is_a_plain_int(self, fn):
         for i in (1, 17, 100):
-            plain = fn(table100, i)
-            value = fn(table100, np.int64(i))
+            plain = fn(i)
+            value = fn(np.int64(i))
             assert value == plain and type(value) is type(plain)
 
     def test_numpy_index_past_int64_cubes(self):
         # i (i + 1) (2i + 1) wraps int64 from i ~ 1.66e6
-        t = build_totient_table(3_000_000)
-        value = e_r(t, np.int64(3_000_000))
-        assert value == e_r(t, 3_000_000) and type(value) is float
+        value = e_r(np.int64(3_000_000))
+        assert value == e_r(3_000_000) and type(value) is float
 
-    def test_numpy_stream_arguments(self, table100):
-        rows = list(iter_error_terms(table100, np.int64(50), every=np.int32(7)))
-        assert rows == list(iter_error_terms(table100, 50, every=7))
+    def test_numpy_stream_arguments(self):
+        rows = list(iter_error_terms(np.int64(50), every=np.int32(7)))
+        assert rows == list(iter_error_terms(50, every=7))
         assert all(type(r[0]) is int for r in rows)
 
     @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
-    def test_bool_and_float_raise(self, fn, table100):
+    def test_bool_and_float_raise(self, fn):
         with pytest.raises(TypeError, match="must be an integer"):
-            fn(table100, True)
+            fn(True)
         with pytest.raises(TypeError):
-            fn(table100, 2.0)
+            fn(2.0)
 
-    def test_stream_bool_and_float_raise(self, table100):
+    def test_stream_bool_and_float_raise(self):
         with pytest.raises(TypeError, match="must be an integer"):
-            list(iter_error_terms(table100, 10, every=True))
+            list(iter_error_terms(10, every=True))
         with pytest.raises(TypeError):
-            list(iter_error_terms(table100, 10.0))
+            list(iter_error_terms(10.0))

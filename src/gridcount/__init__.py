@@ -12,6 +12,10 @@ linear threshold dichotomies all derive from f by exact integer
 arithmetic.
 Independent brute-force oracles cover small grids, and the asympt module
 compares exact values against their n^4 main terms.
+
+Every module is imported eagerly, but numpy is imported only by the
+totient sieve, the moment walk and the residual fit, when they run: the
+oracles, and importing the package, never load it.
 """
 
 from .asympt import (

@@ -7,7 +7,8 @@ push it down to 5/2 + epsilon.  scan_residuals tabulates residuals over a
 range of n, fit_log_exponent fits the observed exponent by least squares in
 log-log space, and rh_report places the fit against the two reference
 exponents.  None of this proves anything in either direction; it is a
-diagnostic for finite data.
+diagnostic for finite data.  Only the fit imports numpy here; the scan's
+numpy work is the totient sieve and walk.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from . import totient
 from .counts import GridQuery, f_fast, f_from_moments
@@ -182,6 +181,8 @@ def fit_log_exponent(rows: Sequence[ScanRow]) -> SlopeFit:
             f"need at least {MIN_FIT_POINTS} rows with |residual| >="
             f" {MIN_FIT_RESIDUAL}, got {len(usable)}"
         )
+    import numpy as np
+
     xs = np.log([r.n for r in usable])
     ys = np.log([abs(r.residual) for r in usable])
     slope, intercept = np.polyfit(xs, ys, 1)

@@ -18,7 +18,10 @@ both reported as floats while all integer parts stay exact.  Every query
 sizes its own sieve: the point queries sieve only the presieve, and the
 error-term stream sieves to its largest index.  Each sieve is read
 through one private walk, exact for every index up to SIEVE_LIMIT, the
-one cap on the sieve and on every moment index.
+one cap on the sieve and on every moment index.  numpy is imported only
+inside the sieve (build_totient_table and its _primes_upto) and the
+walk, so importing this module, or a command that never sieves, does
+not load it.
 """
 
 from __future__ import annotations
@@ -28,11 +31,12 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PI_SQUARED = math.pi**2
 
@@ -53,10 +57,10 @@ _SIEVE_BLOCK = 1 << 16
 # The walk splits indices as i = b + j with 0 <= j < _ROW.  For i <=
 # SIEVE_LIMIT < 2^27, phi(i) < 2^27 and j^2 < 2^22, so each of a row's
 # sums of j^k phi(b + j), k <= 2, stays below 2^60 in int64.  Rows with no
-# requested m are reduced _ROWS at a time, one matrix product per batch.
+# requested m are reduced _ROWS at a time, one product per batch with the
+# _ROW x 3 matrix of j^k that each walk builds.
 _ROW = 1 << 11
 _ROWS = 8
-_POWERS = np.arange(_ROW, dtype=np.int64)[:, None] ** np.arange(3)
 
 # Smallest presieve of _sublinear_moments; see _presieve_size.
 _PRESIEVE_MIN = 1 << 18
@@ -85,6 +89,8 @@ class TotientTable:
 
 def _primes_upto(n: int) -> list[int]:
     """The primes <= n, by a plain Eratosthenes sieve of size n + 1."""
+    import numpy as np
+
     is_prime = np.ones(n + 1, dtype=bool)
     is_prime[:2] = False
     for p in range(2, math.isqrt(n) + 1):
@@ -116,6 +122,8 @@ def build_totient_table(limit: int) -> TotientTable:
     peak allocation is the table's 4 bytes per entry plus two int32 block
     temporaries, at most 4 + 1/2 bytes per entry from limit = 2^20 on.
     """
+    import numpy as np
+
     check_sieve_limit(limit)
     steps = []
     for p in _primes_upto(math.isqrt(limit)):
@@ -185,6 +193,9 @@ def _walk(
     past max(ms) is read, and m = 0 reads nothing.  The caller checks ms
     against the table (_check_table).
     """
+    import numpy as np
+
+    powers = np.arange(_ROW, dtype=np.int64)[:, None] ** np.arange(3)
     phi = table.phi
     i = bisect_right(ms, 0)
     if i:
@@ -196,11 +207,11 @@ def _walk(
         k = bisect_left(ms, b + _ROW, i)
         for lo in range(done, b, _ROW * _ROWS):
             rows = phi[lo : min(lo + _ROW * _ROWS, b)].reshape(-1, _ROW)
-            for r, (a0, a1, a2) in zip(range(lo, b, _ROW), (rows @ _POWERS).tolist()):
+            for r, (a0, a1, a2) in zip(range(lo, b, _ROW), (rows @ powers).tolist()):
                 s0, s1, s2 = s0 + a0, s1 + r * a0 + a1, s2 + (r * a0 + 2 * a1) * r + a2
         done = b
         row = phi[b : ms[k - 1] + 1]
-        prefix = np.cumsum(row * _POWERS[: len(row)].T, axis=1)
+        prefix = np.cumsum(row * powers[: len(row)].T, axis=1)
         yield ms[i:k], b, (s0, s1, s2), prefix[:, np.subtract(ms[i:k], b)].tolist()
         i = k
 

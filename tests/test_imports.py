@@ -1,0 +1,76 @@
+"""What importing gridcount loads: numpy only when a sieve, walk or fit runs,
+and every module the benchmark's span tracer patches, with its attributes.
+
+Each check runs in a fresh interpreter, since this one has numpy loaded
+already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import gridcount
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = Path(gridcount.__file__).resolve().parent.parent
+
+
+def fresh(code: str) -> str:
+    """stdout of code run by a new interpreter that imports this gridcount."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    r = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return r.stdout
+
+
+def loads_numpy(argv: list[str]) -> bool:
+    """Whether running the CLI on argv in a fresh interpreter imports numpy."""
+    code = (
+        "import sys\n"
+        "from gridcount.cli import main\n"
+        "try:\n"
+        f"    main({argv!r})\n"
+        "except SystemExit as exc:\n"
+        "    assert not exc.code, exc.code\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    return fresh(code).splitlines()[-1] == "True"
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, gridcount, gridcount.cli; print('numpy' in sys.modules)"
+    assert fresh(code) == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, numpy",
+    [
+        (["oracle", "--n", "4", "--threshold"], False),
+        (["fq", "--n", "10", "--q", "1"], True),
+    ],
+)
+def test_numpy_loaded_only_by_commands_that_sieve(argv, numpy):
+    assert loads_numpy(argv) is numpy
+
+
+def test_cli_import_loads_every_traced_module():
+    # perfbench/traced_cli.py patches attributes of modules already in
+    # sys.modules once gridcount.cli is imported; a module loaded lazily
+    # later would silently lose its spans.
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'perfbench')!r})\n"
+        "import traced_cli\n"
+        "import gridcount.cli\n"
+        "patched = [(mod, attr) for mod, attr, *_ in traced_cli.SPANNED + traced_cli.STREAMED]\n"
+        "print(json.dumps([[mod, attr, hasattr(sys.modules.get('gridcount.' + mod), attr)]\n"
+        "                  for mod, attr in patched]))\n"
+    )
+    found = json.loads(fresh(code))
+    assert {mod for mod, _, _ in found} == {"totient", "counts", "asympt", "oracle"}
+    assert [(mod, attr) for mod, attr, present in found if not present] == []

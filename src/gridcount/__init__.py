@@ -11,7 +11,9 @@ they are asked for.  Segment counts, line counts, and the number of
 linear threshold dichotomies all derive from f by exact integer
 arithmetic.
 Independent brute-force oracles cover small grids, and the asympt module
-compares exact values against their n^4 main terms.
+compares exact values against their n^4 main terms.  Counts, main terms
+and oracles all take plain or numpy integers; anything else raises
+TypeError.
 
 Every module is imported eagerly, but numpy is imported only by the
 totient sieve, the moment walk and the residual fit, when they run: the
@@ -28,7 +30,6 @@ from .asympt import (
     main_term_f,
     main_term_lines_eq,
     main_term_lines_ge,
-    main_term_segments,
     residual,
     rh_report,
     scan_residuals,
@@ -52,9 +53,6 @@ from .errors import ResourceLimitError
 from .oracle import (
     ORACLE_GRID_LIMIT,
     THRESHOLD_GRID_LIMIT,
-    CanonicalLine,
-    LineHistogram,
-    canonical_line,
     oracle_line_histogram,
     oracle_segments,
     oracle_threshold_count,
@@ -74,11 +72,9 @@ from .totient import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalLine",
     "CountSet",
     "GridQuery",
     "LemmaDecomposition",
-    "LineHistogram",
     "MAX_GRID_N",
     "ORACLE_GRID_LIMIT",
     "PI_SQUARED",
@@ -92,7 +88,6 @@ __all__ = [
     "TotientTable",
     "UNCONDITIONAL_EXPONENT",
     "build_totient_table",
-    "canonical_line",
     "count_set",
     "decompose_lemma",
     "e_phi",
@@ -107,7 +102,6 @@ __all__ = [
     "main_term_f",
     "main_term_lines_eq",
     "main_term_lines_ge",
-    "main_term_segments",
     "oracle_line_histogram",
     "oracle_segments",
     "oracle_threshold_count",

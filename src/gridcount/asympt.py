@@ -19,8 +19,8 @@ from typing import Callable, Iterable, Sequence
 
 from . import totient
 from .counts import GridQuery, f_fast, f_from_moments
-from .errors import ResourceLimitError
-from .totient import PI_SQUARED, as_int, totient_moments
+from .errors import ResourceLimitError, as_int
+from .totient import PI_SQUARED, totient_moments
 
 RH_EXPONENT = 2.5
 UNCONDITIONAL_EXPONENT = 3.0
@@ -92,11 +92,6 @@ def main_term_f(n: int, q: int) -> float:
     if n < 1 or q < 1:
         raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
     return _n4_term(n, q, lambda: 6.0 * n**4 / (PI_SQUARED * q * q))
-
-
-def main_term_segments(n: int, q: int) -> float:
-    """Leading term of s_{q+1}(n): 3 n^4 / (pi^2 q^2)."""
-    return main_term_f(n, q) / 2.0
 
 
 def main_term_lines_ge(n: int, q: int) -> float:

@@ -35,10 +35,6 @@ def format_value(v: Any) -> str:
     return str(v)
 
 
-def csv_line(values: Sequence[Any]) -> str:
-    return ",".join(format_value(v) for v in values)
-
-
 def json_line(columns: Sequence[str], values: Sequence[Any]) -> str:
     """One json object per row, keys in column order, floats as emitted in csv."""
     parts = []
@@ -65,18 +61,6 @@ def table_lines(columns: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[s
     return out
 
 
-def row_line(fmt: str, columns: Sequence[str], row: Sequence[Any]) -> str:
-    """One row as a csv or json-lines line."""
-    return csv_line(row) if fmt == "csv" else json_line(columns, row)
-
-
-def render_rows(fmt: str, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
-    """Rows rendered as one newline-joined block in the requested format."""
-    if fmt == "table":
-        return "\n".join(table_lines(columns, list(rows)))
-    return "\n".join(row_line(fmt, columns, r) for r in rows)
-
-
 def emit(
     fmt: str, columns: Sequence[str], rows: Iterable[Sequence[Any]], block: str = ""
 ) -> None:
@@ -85,12 +69,15 @@ def emit(
     ``block`` names a csv section, printed first as a '# block' marker line.
     """
     if fmt == "table":
-        click.echo(render_rows(fmt, columns, rows))
+        click.echo("\n".join(table_lines(columns, list(rows))))
         return
     if block and fmt == "csv":
         click.echo(f"# {block}")
     for row in rows:
-        click.echo(row_line(fmt, columns, row))
+        if fmt == "csv":
+            click.echo(",".join(format_value(v) for v in row))
+        else:
+            click.echo(json_line(columns, row))
 
 
 def emit_value(
@@ -108,15 +95,6 @@ FIT_COLUMNS = (
     "slope", "intercept", "points_used", "n_lo", "n_hi", "classification",
     "message", "note",
 )
-
-
-def _scan_cells(rows: Iterable[asympt.ScanRow]) -> list[tuple]:
-    return [(r.n, r.q, r.exact, r.main, r.residual, r.normalized) for r in rows]
-
-
-def render_scan(fmt: str, rows: Sequence[asympt.ScanRow]) -> str:
-    """The scan table exactly as the scan subcommand prints it."""
-    return render_rows(fmt, SCAN_COLUMNS, _scan_cells(rows))
 
 
 def domain_errors(f: Callable) -> Callable:
@@ -218,7 +196,8 @@ def scan_cmd(
     # the largest n and q are checked before any list of n is built
     counts.GridQuery(ns[-1], q)
     rows = asympt.scan_residuals(q, ns)
-    emit(fmt, SCAN_COLUMNS, _scan_cells(rows))
+    cells = [(r.n, r.q, r.exact, r.main, r.residual, r.normalized) for r in rows]
+    emit(fmt, SCAN_COLUMNS, cells)
     if fit:
         slope_fit = asympt.fit_log_exponent(rows)
         report = asympt.rh_report(slope_fit)
@@ -265,7 +244,7 @@ def oracle_cmd(n: int, with_threshold: bool, force: bool, fmt: str) -> None:
     '# threshold' marker lines.
     """
     hist = oracle.oracle_line_histogram(n, force=force)
-    line_rows = [(n, p, c) for p, c in sorted(hist.counts.items())]
+    line_rows = [(n, p, c) for p, c in hist.items()]
     seg_rows = [(n, p, oracle.oracle_segments(n, p, force=force)) for p in range(2, n + 1)]
     thr = oracle.oracle_threshold_count(n, force=force) if with_threshold else None
 

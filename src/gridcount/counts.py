@@ -31,8 +31,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ResourceLimitError
-from .totient import Moments, TotientTable, _check_table, _sublinear_moments, as_int
+from .errors import ResourceLimitError, as_int
+from .totient import Moments, TotientTable, _check_table, _sublinear_moments
 
 #: Largest accepted grid side.  The counts sieve only a presieve, at most
 #: 464,160 entries at this n, so the cap now bounds scan, which sieves to
@@ -172,9 +172,11 @@ def _half_exact(value: int, what: str) -> int:
     return half
 
 
-def _need_line_q(q: int) -> None:
+def _line_q(q: int) -> int:
+    q = as_int(q, "line size q")
     if q < 2:
         raise ValueError(f"line counts need q >= 2, got {q}")
+    return q
 
 
 def _at_least(n: int, q: int, f_below: int, f_q: int) -> int:
@@ -206,13 +208,13 @@ def segments_count(n: int, p: int) -> int:
 
 def lines_at_least(n: int, q: int) -> int:
     """Lines meeting at least q grid points, q >= 2."""
-    _need_line_q(q)
+    q = _line_q(q)
     return _at_least(n, q, *_f_at(n, (q - 1, q)))
 
 
 def lines_exactly(n: int, q: int) -> int:
     """Lines meeting exactly q grid points, q >= 2."""
-    _need_line_q(q)
+    q = _line_q(q)
     return _exactly(n, q, *_f_at(n, (q - 1, q, q + 1)))
 
 

@@ -4,19 +4,18 @@ These enumerate actual point pairs, lines, and threshold dichotomies, with
 no shared code or formulas with the fast counting paths, so the two can
 check each other.  Sizes are capped (n <= 25 for pair enumeration, n <= 4
 for thresholds) since costs grow like n^4; ``force`` lifts a cap for
-callers who accept the wait.
+callers who accept the wait.  n and p are checked as the counts check
+them: numpy integers pass, and bools and floats raise TypeError.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Mapping
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, as_int
 
 ORACLE_GRID_LIMIT = 25
 THRESHOLD_GRID_LIMIT = 4
@@ -24,30 +23,13 @@ THRESHOLD_GRID_LIMIT = 4
 Point = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class CanonicalLine:
-    """A line a*x + b*y + c = 0 in lowest terms with a fixed sign.
-
-    Canonical means gcd(|a|, |b|, |c|) = 1 and a > 0, or a = 0 and b > 0,
-    so two point pairs span the same line iff their CanonicalLine keys are
-    equal.  Hashable for exactly that use.
-    """
-
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.a == 0 and self.b == 0:
-            raise ValueError("degenerate line: a and b both zero")
-        if math.gcd(math.gcd(abs(self.a), abs(self.b)), abs(self.c)) != 1:
-            raise ValueError(f"coefficients ({self.a}, {self.b}, {self.c}) not coprime")
-        if self.a < 0 or (self.a == 0 and self.b < 0):
-            raise ValueError("sign not canonical: need a > 0, or a = 0 and b > 0")
-
-
 def _line_key(px: int, py: int, qx: int, qy: int) -> tuple[int, int, int]:
-    """(a, b, c) of the canonical line through (px, py) != (qx, qy)."""
+    """(a, b, c) of the line a*x + b*y + c = 0 through (px, py) != (qx, qy).
+
+    The key is in lowest terms with a fixed sign: gcd(|a|, |b|, |c|) = 1,
+    and a > 0, or a = 0 and b > 0.  So two point pairs span the same line
+    iff their keys are equal.
+    """
     a = qy - py
     b = px - qx
     c = -(a * px + b * py)
@@ -58,34 +40,16 @@ def _line_key(px: int, py: int, qx: int, qy: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def canonical_line(p: Point, q: Point) -> CanonicalLine:
-    """The unique CanonicalLine through two distinct points."""
-    if p == q:
-        raise ValueError(f"points must be distinct, got {p} twice")
-    return CanonicalLine(*_line_key(*p, *q))
-
-
-@dataclass(frozen=True)
-class LineHistogram:
-    """How many distinct lines meet the n x n grid in exactly p points.
-
-    ``counts[p]`` is that number of lines; keys with count zero are absent.
-    """
-
-    n: int
-    counts: Mapping[int, int]
-
-    def total_lines(self) -> int:
-        return sum(self.counts.values())
-
-
-def _check_grid(n: int, cap: int, force: bool) -> None:
+def _check_grid(n: int, cap: int, force: bool) -> int:
+    """n as a plain int, checked to be >= 2 and, unless forced, <= cap."""
+    n = as_int(n, "grid side n")
     if n < 2:
         raise ValueError(f"grid side must be >= 2, got {n}")
     if n > cap and not force:
         raise ResourceLimitError(
             f"oracle capped at n <= {cap} (got {n}); pass force to lift"
         )
+    return n
 
 
 def _grid_points(n: int) -> list[Point]:
@@ -100,19 +64,21 @@ def _points_on_line(pairs: int) -> int:
     return p
 
 
-def oracle_line_histogram(n: int, force: bool = False) -> LineHistogram:
-    """Enumerate every line through >= 2 grid points and bucket by occupancy.
+def oracle_line_histogram(n: int, force: bool = False) -> dict[int, int]:
+    """How many lines meet the n x n grid in exactly p points, as {p: lines}.
 
-    Each unordered point pair is counted under its line's key; a line
-    through p grid points collects exactly C(p, 2) pairs, which gives p back.
+    Every line through >= 2 grid points is enumerated: each unordered point
+    pair is counted under its line's key, and a line through p grid points
+    collects exactly C(p, 2) pairs, which gives p back.  Keys are sorted,
+    and a p that no line meets is absent.
     """
-    _check_grid(n, ORACLE_GRID_LIMIT, force)
+    n = _check_grid(n, ORACLE_GRID_LIMIT, force)
     pairs = Counter(
         _line_key(px, py, qx, qy)
         for (px, py), (qx, qy) in combinations(_grid_points(n), 2)
     )
     counts = Counter(_points_on_line(k) for k in pairs.values())
-    return LineHistogram(n=n, counts=dict(sorted(counts.items())))
+    return dict(sorted(counts.items()))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +96,8 @@ def oracle_segments(n: int, p: int, force: bool = False) -> int:
     A pair with difference gcd g spans g - 1 interior points, so covering
     p points means g = p - 1.
     """
-    _check_grid(n, ORACLE_GRID_LIMIT, force)
+    n = _check_grid(n, ORACLE_GRID_LIMIT, force)
+    p = as_int(p, "p")
     if p < 2:
         raise ValueError(f"a segment passes through at least 2 points, got p={p}")
     return _difference_gcd_census(n)[p - 1]
@@ -163,6 +130,7 @@ def oracle_threshold_count(n: int, force: bool = False) -> int:
     finds every dichotomy and nothing else.  For n = 1 there is no normal
     to try, and the two constant dichotomies are all there is.
     """
+    n = as_int(n, "grid side n")
     if n < 1:
         raise ValueError(f"grid side must be >= 1, got {n}")
     if n > THRESHOLD_GRID_LIMIT and not force:

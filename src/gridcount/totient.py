@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, as_int
 
 if TYPE_CHECKING:
     import numpy as np
@@ -66,13 +66,6 @@ _ROWS = 8
 _PRESIEVE_MIN = 1 << 18
 
 Moments = tuple[int, int, int]
-
-
-def as_int(value: object, what: str) -> int:
-    """value as a plain int (numpy integers included); bool and floats raise."""
-    if isinstance(value, bool):
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

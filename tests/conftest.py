@@ -1,7 +1,6 @@
 import pytest
 
 from gridcount import GridQuery, ScanRow, build_totient_table, f_direct, main_term_f
-from gridcount.cli import render_scan
 
 
 @pytest.fixture(scope="session")
@@ -15,16 +14,16 @@ def table10k():
 
 
 @pytest.fixture(scope="session")
-def direct_scan_csv():
-    """Scan csv whose exact counts come from the O(n^2) definition sum."""
+def direct_scan_rows():
+    """Scan rows whose exact counts come from the O(n^2) definition sum."""
 
-    def render(q, ns):
+    def rows_for(q, ns):
         rows = []
         for n in ns:
             exact = f_direct(GridQuery(n, q))
             main = main_term_f(n, q)
             res = exact - main
             rows.append(ScanRow(n, q, exact, main, res, abs(res) / float(n) ** 4.0))
-        return render_scan("csv", rows)
+        return rows
 
-    return render
+    return rows_for

@@ -32,7 +32,6 @@ from gridcount import (
     threshold_count,
 )
 from gridcount.cli import main as cli_main
-from gridcount.cli import render_scan
 
 
 def report(num, ok, detail):
@@ -79,7 +78,7 @@ def test_criterion_3_lines_vs_oracle():
     t0 = time.perf_counter()
     bad = []
     for n in range(2, 26):
-        hist = oracle_line_histogram(n).counts
+        hist = oracle_line_histogram(n)
         for q in range(2, n + 1):
             if lines_exactly(n, q) != hist.get(q, 0):
                 bad.append(("exactly", n, q))
@@ -208,7 +207,7 @@ def test_criterion_8_performance():
     )
 
 
-def test_criterion_9_determinism(direct_scan_csv):
+def test_criterion_9_determinism(direct_scan_rows):
     args = [
         "scan", "--q", "1", "--n-start", "2", "--n-end", "128",
         "--geometric", "--format", "csv",
@@ -218,16 +217,12 @@ def test_criterion_9_determinism(direct_scan_csv):
     runs_identical = outs[0] == outs[1] == outs[2] and outs[0]
 
     ns = list(range(1, 61))
-    mismatched = [
-        q
-        for q in (1, 2, 3)
-        if render_scan("csv", scan_residuals(q, ns))
-        != direct_scan_csv(q, ns)
-    ]
+    # ScanRow equality is exact, floats included: stronger than the csv digits
+    mismatched = [q for q in (1, 2, 3) if scan_residuals(q, ns) != direct_scan_rows(q, ns)]
     report(
         9,
         bool(runs_identical) and not mismatched,
-        "scan csv byte-identical across 3 runs and to rows built from"
-        " f_direct for n<=60, q in 1..3"
+        "scan csv byte-identical across 3 runs; scan rows equal to rows built"
+        " from f_direct for n<=60, q in 1..3"
         + (f"; mismatched q {mismatched}" if mismatched else ""),
     )

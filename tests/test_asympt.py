@@ -16,12 +16,10 @@ from gridcount import (
     main_term_f,
     main_term_lines_eq,
     main_term_lines_ge,
-    main_term_segments,
     residual,
     rh_report,
     scan_residuals,
 )
-from gridcount.cli import render_scan
 
 
 class TestMainTerms:
@@ -29,11 +27,6 @@ class TestMainTerms:
         assert main_term_f(10, 1) == pytest.approx(60000 / PI_SQUARED, rel=1e-15)
         assert main_term_f(10, 1) == pytest.approx(6079.271, abs=5e-4)
         assert main_term_f(10, 2) == pytest.approx(1519.818, abs=5e-4)
-
-    def test_segments_is_half(self):
-        for n in (3, 10, 47):
-            for q in (1, 2, 5):
-                assert main_term_segments(n, q) == main_term_f(n, q) / 2
 
     def test_lines_ge(self):
         assert main_term_lines_ge(10, 2) == pytest.approx(
@@ -84,7 +77,7 @@ class TestMainTerms:
         with pytest.raises(ValueError):
             fn(n, 3)
 
-    MAIN_TERMS = [main_term_f, main_term_segments, main_term_lines_ge, main_term_lines_eq]
+    MAIN_TERMS = [main_term_f, main_term_lines_ge, main_term_lines_eq]
 
     @pytest.mark.parametrize("np_int", [np.int32, np.int64])
     @pytest.mark.parametrize("fn", MAIN_TERMS, ids=lambda fn: fn.__name__)
@@ -167,11 +160,11 @@ class TestScan:
         with pytest.raises(ValueError):
             scan_residuals(1, [0, 2])
 
-    def test_csv_matches_direct_rows(self, direct_scan_csv):
+    def test_csv_matches_direct_rows(self, direct_scan_rows):
+        # equal ScanRows, floats included, print equal csv rows
         ns = list(range(2, 100, 3))
         for q in (1, 2, 3):
-            csv = render_scan("csv", scan_residuals(q, ns))
-            assert csv == direct_scan_csv(q, ns), q
+            assert scan_residuals(q, ns) == direct_scan_rows(q, ns), q
 
 
 def power_rows(exponent, coeff=1.0, ns=(10, 20, 40, 80, 160, 320)):

@@ -88,6 +88,10 @@ class TestIntegerBoundary:
         with pytest.raises(TypeError):
             segments_count(3, bad)
         with pytest.raises(TypeError):
+            lines_at_least(3, bad)
+        with pytest.raises(TypeError):
+            lines_exactly(3, bad)
+        with pytest.raises(TypeError):
             scan_residuals(1, [bad])
 
 

@@ -1,8 +1,9 @@
 """What importing gridcount loads: numpy only when a sieve, walk or fit runs,
-and every module the benchmark's span tracer patches, with its attributes.
+and every module the benchmark's span tracer patches, with its attributes;
+and what it exports.
 
-Each check runs in a fresh interpreter, since this one has numpy loaded
-already.
+Each load check runs in a fresh interpreter, since this one has numpy
+loaded already.
 """
 
 import json
@@ -74,3 +75,13 @@ def test_cli_import_loads_every_traced_module():
     found = json.loads(fresh(code))
     assert {mod for mod, _, _ in found} == {"totient", "counts", "asympt", "oracle"}
     assert [(mod, attr) for mod, attr, present in found if not present] == []
+
+
+REMOVED = ("CanonicalLine", "canonical_line", "LineHistogram", "main_term_segments")
+
+
+def test_public_surface():
+    # every export resolves, once, and the names only tests read stay gone
+    assert [name for name in gridcount.__all__ if not hasattr(gridcount, name)] == []
+    assert len(set(gridcount.__all__)) == len(gridcount.__all__)
+    assert [name for name in REMOVED if hasattr(gridcount, name)] == []

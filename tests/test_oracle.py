@@ -1,4 +1,4 @@
-"""Brute-force oracles: canonical lines, histograms, thresholds."""
+"""Brute-force oracles: line keys, histograms, segments, thresholds."""
 
 import ast
 import math
@@ -6,14 +6,13 @@ from collections import Counter
 from itertools import combinations
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcount import (
-    CanonicalLine,
     ResourceLimitError,
-    canonical_line,
     oracle,
     oracle_line_histogram,
     oracle_segments,
@@ -25,35 +24,38 @@ coord = st.integers(-50, 50)
 point = st.tuples(coord, coord)
 
 
+def key(p, q):
+    return _line_key(*p, *q)
+
+
 class TestCanonicalLine:
+    """The (a, b, c) key the line oracle counts pairs under."""
+
     def test_basic(self):
-        line = canonical_line((0, 0), (2, 4))
-        assert (line.a, line.b, line.c) == (2, -1, 0)
+        assert key((0, 0), (2, 4)) == (2, -1, 0)
 
     def test_same_point_rejected(self):
-        with pytest.raises(ValueError):
-            canonical_line((1, 1), (1, 1))
+        # two equal points span no line, so no key is formed
+        with pytest.raises(ArithmeticError):
+            key((1, 1), (1, 1))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            CanonicalLine(0, 0, 3)
-        with pytest.raises(ValueError):
-            CanonicalLine(2, 4, 6)
-        with pytest.raises(ValueError):
-            CanonicalLine(-1, 2, 0)
-        with pytest.raises(ValueError):
-            CanonicalLine(0, -1, 2)
+        # pairs whose raw coefficients break a rule of the key come out
+        # reduced and sign-fixed
+        assert key((1, 1), (3, 5)) == (2, -1, -1)  # raw (4, -2, -2): gcd 2
+        assert key((0, 2), (1, 0)) == (2, 1, -2)  # raw (-2, -1, 2): a < 0
+        assert key((0, 3), (5, 3)) == (0, 1, -3)  # raw (0, -5, 15): a = 0, b < 0
 
     def test_hashable_key(self):
-        assert canonical_line((0, 0), (1, 1)) == canonical_line((3, 3), (7, 7))
-        assert len({canonical_line((0, 0), (1, 0)), canonical_line((0, 0), (2, 0))}) == 1
+        assert key((0, 0), (1, 1)) == key((3, 3), (7, 7))
+        assert len({key((0, 0), (1, 0)), key((0, 0), (2, 0))}) == 1
 
     @given(p=point, q=point)
     @settings(max_examples=300)
     def test_order_invariant(self, p, q):
         if p == q:
             return
-        assert canonical_line(p, q) == canonical_line(q, p)
+        assert key(p, q) == key(q, p)
 
     @given(p=point, d=point, u=st.integers(-9, 9), v=st.integers(-9, 9))
     @settings(max_examples=300)
@@ -63,44 +65,54 @@ class TestCanonicalLine:
             return
         x = (p[0] + u * d[0], p[1] + u * d[1])
         y = (p[0] + v * d[0], p[1] + v * d[1])
-        assert canonical_line(p, x) == canonical_line(p, y) == canonical_line(x, y)
+        assert key(p, x) == key(p, y) == key(x, y)
 
     @given(p=point, q=point)
     @settings(max_examples=300)
     def test_invariants(self, p, q):
         if p == q:
             return
-        line = canonical_line(p, q)
-        assert (line.a, line.b) != (0, 0)
-        assert math.gcd(math.gcd(abs(line.a), abs(line.b)), abs(line.c)) == 1
-        assert line.a > 0 or (line.a == 0 and line.b > 0)
+        a, b, c = key(p, q)
+        assert (a, b) != (0, 0)
+        assert math.gcd(a, b, c) == 1
+        assert a > 0 or (a == 0 and b > 0)
         for x, y in (p, q):
-            assert line.a * x + line.b * y + line.c == 0
+            assert a * x + b * y + c == 0
 
     @given(p=point, q=point)
     @settings(max_examples=300)
     def test_line_key_is_the_validated_line(self, p, q):
-        # canonical_line builds CanonicalLine, so its __post_init__ checks
-        # pass on every key the line oracle counts under
+        # the key equals the line built another way: the normal of the
+        # primitive direction q - p, sign-fixed, which is valid by
+        # construction (gcd(a, b) = 1 already, a > 0 or a = 0 < b)
         if p == q:
             return
-        line = canonical_line(p, q)
-        assert (line.a, line.b, line.c) == _line_key(*p, *q)
+        dx, dy = q[0] - p[0], q[1] - p[1]
+        g = math.gcd(dx, dy)
+        a, b = dy // g, -dx // g
+        if a < 0 or (a == 0 and b < 0):
+            a, b = -a, -b
+        c = -(a * p[0] + b * p[1])
+        assert math.gcd(a, b) == 1
+        assert a > 0 or (a == 0 and b > 0)
+        assert key(p, q) == (a, b, c)
 
 
 def line_histogram_by_point_sets(n):
-    """The set-based line oracle: points gathered per canonical line."""
+    """The set-based line oracle: points gathered per line key."""
     grid = [(x, y) for x in range(n) for y in range(n)]
     points = {}
     for p, q in combinations(grid, 2):
-        points.setdefault(canonical_line(p, q), set()).update((p, q))
+        points.setdefault(key(p, q), set()).update((p, q))
     return dict(sorted(Counter(len(s) for s in points.values()).items()))
 
 
 class TestLineHistogram:
     @pytest.mark.parametrize("n", range(2, 13))
     def test_matches_point_sets(self, n):
-        assert oracle_line_histogram(n).counts == line_histogram_by_point_sets(n)
+        hist = oracle_line_histogram(n)
+        assert hist == line_histogram_by_point_sets(n)
+        assert list(hist) == sorted(hist)
 
     def test_points_from_pair_count(self):
         for p in range(2, 60):
@@ -111,31 +123,31 @@ class TestLineHistogram:
 
     def test_n2(self):
         hist = oracle_line_histogram(2)
-        assert hist.counts == {2: 6}
+        assert hist == {2: 6}
 
     def test_n3(self):
         hist = oracle_line_histogram(3)
-        assert hist.counts == {2: 12, 3: 8}
+        assert hist == {2: 12, 3: 8}
 
     def test_n5(self):
-        assert oracle_line_histogram(5).counts == {2: 108, 3: 16, 4: 4, 5: 12}
+        assert oracle_line_histogram(5) == {2: 108, 3: 16, 4: 4, 5: 12}
 
     def test_pair_identity(self):
         for n in range(2, 11):
             hist = oracle_line_histogram(n)
-            paired = sum(math.comb(p, 2) * c for p, c in hist.counts.items())
+            paired = sum(math.comb(p, 2) * c for p, c in hist.items())
             assert paired == math.comb(n * n, 2), n
 
     def test_support_bounds(self):
         hist = oracle_line_histogram(7)
-        assert min(hist.counts) == 2
-        assert max(hist.counts) == 7
+        assert min(hist) == 2
+        assert max(hist) == 7
 
     def test_guardrail(self):
         with pytest.raises(ResourceLimitError):
             oracle_line_histogram(26)
         hist = oracle_line_histogram(26, force=True)
-        assert hist.total_lines() > 0
+        assert sum(hist.values()) > 0
 
     def test_too_small(self):
         with pytest.raises(ValueError):
@@ -203,6 +215,29 @@ class TestThreshold:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             oracle_threshold_count(0)
+
+
+class TestIntegerBoundary:
+    """n and p are checked as the counts check them."""
+
+    CALLS = {
+        "lines": lambda v: oracle_line_histogram(v)[3],
+        "segments.n": lambda v: oracle_segments(v, 3),
+        "segments.p": lambda v: oracle_segments(5, v),
+        "threshold": lambda v: oracle_threshold_count(v),
+    }
+
+    @pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0), np.True_])
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_non_integers_raise(self, name, bad):
+        with pytest.raises(TypeError):
+            self.CALLS[name](bad)
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    def test_numpy_integers(self, name):
+        got = self.CALLS[name](np.int64(3))
+        assert type(got) is int
+        assert got == self.CALLS[name](3)
 
 
 def test_oracle_imports_no_counting_code():

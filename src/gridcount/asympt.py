@@ -88,9 +88,7 @@ def _n4_term(n: int, q: int, term: Callable[[], float]) -> float:
 
 def main_term_f(n: int, q: int) -> float:
     """Leading term of f_q(n): 6 n^4 / (pi^2 q^2)."""
-    n, q = as_int(n, "grid side n"), as_int(q, "gcd class q")
-    if n < 1 or q < 1:
-        raise ValueError(f"need n >= 1 and q >= 1, got n={n}, q={q}")
+    n, q = as_int(n, "grid side n", 1), as_int(q, "gcd class q", 1)
     return _n4_term(n, q, lambda: 6.0 * n**4 / (PI_SQUARED * q * q))
 
 
@@ -101,9 +99,7 @@ def main_term_lines_ge(n: int, q: int) -> float:
     large q, so it is taken as (2q - 1) / (q^2 (q-1)^2), one correctly
     rounded int/int division.
     """
-    n, q = as_int(n, "grid side n"), as_int(q, "line size q")
-    if n < 1 or q < 2:
-        raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
+    n, q = as_int(n, "grid side n", 1), as_int(q, "line size q", 2)
     bracket = (2 * q - 1) / (q * q * (q - 1) ** 2)
     return _n4_term(n, q, lambda: 3.0 * n**4 / PI_SQUARED * bracket)
 
@@ -114,9 +110,7 @@ def main_term_lines_eq(n: int, q: int) -> float:
     The bracket 1/(q+1)^2 - 2/q^2 + 1/(q-1)^2 is taken as
     (6q^2 - 2) / (q^2 (q^2 - 1)^2), as in main_term_lines_ge.
     """
-    n, q = as_int(n, "grid side n"), as_int(q, "line size q")
-    if n < 1 or q < 2:
-        raise ValueError(f"line counts need n >= 1 and q >= 2, got n={n}, q={q}")
+    n, q = as_int(n, "grid side n", 1), as_int(q, "line size q", 2)
     bracket = (6 * q * q - 2) / (q * q * (q * q - 1) ** 2)
     return _n4_term(n, q, lambda: 3.0 * n**4 / PI_SQUARED * bracket)
 
@@ -136,11 +130,9 @@ def scan_residuals(q: int, n_values: Iterable[int]) -> list[ScanRow]:
     rows read, and all exact counts come from one forward pass of
     totient_moments over it.
     """
-    ns = [as_int(n, "grid side n") for n in n_values]
+    ns = [as_int(n, "grid side n", 1) for n in n_values]
     if not ns:
         raise ValueError("n_values must be nonempty")
-    if ns[0] < 1:
-        raise ValueError(f"grid sides must be >= 1, got {ns[0]}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
     q = GridQuery(ns[-1], q).q  # validates q and the largest n

@@ -19,15 +19,13 @@ from typing import Any, Callable, Iterable, Sequence
 import click
 
 from . import asympt, counts, oracle, totient
-from .errors import ResourceLimitError
+from .errors import ResourceLimitError, as_int
 
 
 def format_value(v: Any) -> str:
     """One value as text: ints in full decimal, floats as %.15g, None empty."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float):
@@ -41,7 +39,7 @@ def json_line(columns: Sequence[str], values: Sequence[Any]) -> str:
     for col, v in zip(columns, values):
         if v is None:
             text = "null"
-        elif isinstance(v, (int, float)) and not isinstance(v, bool):
+        elif isinstance(v, (int, float)):
             text = format_value(v)
         else:
             text = json.dumps(v)
@@ -179,8 +177,7 @@ def scan_cmd(
     """Residuals f_q(n) - 6 n^4 / (pi^2 q^2) over a range of n."""
     if geometric and step is not None:
         raise click.UsageError("--geometric and --step are mutually exclusive")
-    if n_start < 1:
-        raise ValueError(f"--n-start must be >= 1, got {n_start}")
+    as_int(n_start, "--n-start", 1)
     if n_start > n_end:
         raise ValueError(f"empty scan: --n-start {n_start} > --n-end {n_end}")
     if geometric:
@@ -190,8 +187,8 @@ def scan_cmd(
             ns.append(n)
             n *= 2
     else:
-        if step is not None and step < 1:
-            raise ValueError(f"--step must be >= 1, got {step}")
+        if step is not None:
+            as_int(step, "--step", 1)
         ns = range(n_start, n_end + 1, step or 1)
     # the largest n and q are checked before any list of n is built
     counts.GridQuery(ns[-1], q)
@@ -265,8 +262,7 @@ def oracle_cmd(n: int, with_threshold: bool, force: bool, fmt: str) -> None:
 @domain_errors
 def errterms_cmd(m_max: int, every: int, fmt: str) -> None:
     """Summatory totient Phi(m) with both error terms, streamed."""
-    if m_max < 1:
-        raise ValueError(f"--m-max must be >= 1, got {m_max}")
+    as_int(m_max, "--m-max", 1)
     rows = totient.iter_error_terms(m_max, every)
     emit(fmt, ("m", "phi_sum", "e_phi", "e_r"), rows)
 

@@ -49,12 +49,8 @@ class GridQuery:
     q: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_int(self.n, "grid side n"))
-        object.__setattr__(self, "q", as_int(self.q, "gcd class q"))
-        if self.n < 1:
-            raise ValueError(f"grid side n must be >= 1, got {self.n}")
-        if self.q < 1:
-            raise ValueError(f"gcd class q must be >= 1, got {self.q}")
+        object.__setattr__(self, "n", as_int(self.n, "grid side n", 1))
+        object.__setattr__(self, "q", as_int(self.q, "gcd class q", 1))
         if self.n > MAX_GRID_N:
             raise ResourceLimitError(
                 f"grid side {self.n} exceeds the supported maximum {MAX_GRID_N}"
@@ -116,6 +112,7 @@ def f_direct(query: GridQuery) -> int:
 
 def f_from_moments(n: int, q: int, moments: Moments) -> int:
     """f_q(n) = 4 (2n^2 S_0 - 3nq S_1 + q^2 S_2), moments at m = (n-1)//q."""
+    n, q = as_int(n, "grid side n"), as_int(q, "gcd class q")  # numpy ints would wrap
     s0, s1, s2 = moments
     return 4 * (2 * n * n * s0 - 3 * n * q * s1 + q * q * s2)
 
@@ -172,13 +169,6 @@ def _half_exact(value: int, what: str) -> int:
     return half
 
 
-def _line_q(q: int) -> int:
-    q = as_int(q, "line size q")
-    if q < 2:
-        raise ValueError(f"line counts need q >= 2, got {q}")
-    return q
-
-
 def _at_least(n: int, q: int, f_below: int, f_q: int) -> int:
     diff = f_below - f_q
     if diff < 0:
@@ -199,22 +189,20 @@ def segments_count(n: int, p: int) -> int:
     Equals f_{p-1}(n) / 2: each segment is an unordered endpoint pair whose
     difference has gcd p - 1.
     """
-    p = as_int(p, "p")
-    if p < 2:
-        raise ValueError(f"a segment passes through at least 2 points, got p={p}")
+    p = as_int(p, "segment size p", 2)
     f = f_fast(GridQuery(n, p - 1))
     return _half_exact(f, f"f_{p - 1}({n})")
 
 
 def lines_at_least(n: int, q: int) -> int:
     """Lines meeting at least q grid points, q >= 2."""
-    q = _line_q(q)
+    q = as_int(q, "line size q", 2)
     return _at_least(n, q, *_f_at(n, (q - 1, q)))
 
 
 def lines_exactly(n: int, q: int) -> int:
     """Lines meeting exactly q grid points, q >= 2."""
-    q = _line_q(q)
+    q = as_int(q, "line size q", 2)
     return _exactly(n, q, *_f_at(n, (q - 1, q, q + 1)))
 
 

@@ -1,7 +1,9 @@
-"""Error types and the integer argument check shared across the package.
+"""Error types and the integer argument rule shared across the package.
 
-Invalid arguments raise the builtin ValueError, or TypeError when they are
-not integers.  Requests that are well-formed but would blow past a size or
+Every integer argument goes through as_int: Python and numpy integers
+become plain ints, bools and floats raise TypeError, and a value below
+the argument's least raises ValueError("<what> must be >= <least>, got
+<value>").  Requests that are well-formed but would blow past a size or
 budget cap raise ResourceLimitError so callers can tell the two apart.
 """
 
@@ -12,8 +14,11 @@ class ResourceLimitError(RuntimeError):
     """A computation was refused because it exceeds a configured size cap."""
 
 
-def as_int(value: object, what: str) -> int:
-    """value as a plain int (numpy integers included); bool and floats raise."""
+def as_int(value: object, what: str, least: int | None = None) -> int:
+    """value as a plain int (numpy integers included), >= least if given."""
     if isinstance(value, bool):
         raise TypeError(f"{what} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
+    return value

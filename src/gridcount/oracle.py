@@ -40,14 +40,14 @@ def _line_key(px: int, py: int, qx: int, qy: int) -> tuple[int, int, int]:
     return a, b, c
 
 
-def _check_grid(n: int, cap: int, force: bool) -> int:
-    """n as a plain int, checked to be >= 2 and, unless forced, <= cap."""
-    n = as_int(n, "grid side n")
-    if n < 2:
-        raise ValueError(f"grid side must be >= 2, got {n}")
+def _check_grid(
+    n: int, cap: int, force: bool, least: int = 2, name: str = "oracle"
+) -> int:
+    """n as a plain int, checked to be >= least and, unless forced, <= cap."""
+    n = as_int(n, "grid side", least)
     if n > cap and not force:
         raise ResourceLimitError(
-            f"oracle capped at n <= {cap} (got {n}); pass force to lift"
+            f"{name} capped at n <= {cap} (got {n}); pass force to lift"
         )
     return n
 
@@ -97,9 +97,7 @@ def oracle_segments(n: int, p: int, force: bool = False) -> int:
     p points means g = p - 1.
     """
     n = _check_grid(n, ORACLE_GRID_LIMIT, force)
-    p = as_int(p, "p")
-    if p < 2:
-        raise ValueError(f"a segment passes through at least 2 points, got p={p}")
+    p = as_int(p, "segment size p", 2)
     return _difference_gcd_census(n)[p - 1]
 
 
@@ -130,14 +128,7 @@ def oracle_threshold_count(n: int, force: bool = False) -> int:
     finds every dichotomy and nothing else.  For n = 1 there is no normal
     to try, and the two constant dichotomies are all there is.
     """
-    n = as_int(n, "grid side n")
-    if n < 1:
-        raise ValueError(f"grid side must be >= 1, got {n}")
-    if n > THRESHOLD_GRID_LIMIT and not force:
-        raise ResourceLimitError(
-            f"threshold oracle capped at n <= {THRESHOLD_GRID_LIMIT} (got {n});"
-            " pass force to lift"
-        )
+    n = _check_grid(n, THRESHOLD_GRID_LIMIT, force, 1, "threshold oracle")
     points = _grid_points(n)
     masks = {0, (1 << len(points)) - 1}
     r = 2 * (n - 1)

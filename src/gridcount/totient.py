@@ -27,7 +27,6 @@ not load it.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -92,12 +91,12 @@ def _primes_upto(n: int) -> list[int]:
     return np.flatnonzero(is_prime).tolist()
 
 
-def check_sieve_limit(limit: int) -> None:
-    """Raise unless build_totient_table may sieve to limit: 1 <= limit <= SIEVE_LIMIT."""
-    if limit < 1:
-        raise ValueError(f"sieve limit must be >= 1, got {limit}")
+def check_sieve_limit(limit: int) -> int:
+    """limit as a plain int, which build_totient_table may sieve to: 1..SIEVE_LIMIT."""
+    limit = as_int(limit, "sieve limit", 1)
     if limit > SIEVE_LIMIT:
         raise ResourceLimitError(f"sieve limit {limit} exceeds budget {SIEVE_LIMIT}")
+    return limit
 
 
 def build_totient_table(limit: int) -> TotientTable:
@@ -117,7 +116,7 @@ def build_totient_table(limit: int) -> TotientTable:
     """
     import numpy as np
 
-    check_sieve_limit(limit)
+    limit = check_sieve_limit(limit)
     steps = []
     for p in _primes_upto(math.isqrt(limit)):
         power, mult = p, p - 1
@@ -227,11 +226,9 @@ def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
 
 def _check_ms(ms: Iterable[int]) -> list[int]:
     """ms as plain ints, which must be >= 0 and nondecreasing."""
-    ms = [operator.index(m) for m in ms]  # numpy ints would wrap in the fold
+    ms = [as_int(m, "m", 0) for m in ms]  # numpy ints would wrap in the fold
     if any(b < a for a, b in zip(ms, ms[1:])):
         raise ValueError("m values must be nondecreasing")
-    if ms and ms[0] < 0:
-        raise ValueError(f"m must be >= 0, got {ms[0]}")
     return ms
 
 
@@ -317,9 +314,7 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
 
 def _point_moments(i: object) -> tuple[int, Moments]:
     """i as a plain int, which must be >= 1, and its moments from _sublinear_moments."""
-    i = as_int(i, "index i")
-    if i < 1:
-        raise ValueError(f"index i must be >= 1, got {i}")
+    i = as_int(i, "index i", 1)
     (moments,) = _sublinear_moments([i])
     return i, moments
 
@@ -368,13 +363,9 @@ def iter_error_terms(
     the floats come from the point queries' formulas, so every value
     matches e_phi() and e_r() to the last bit.
     """
-    m_max = as_int(m_max, "m_max")
-    if m_max < 1:
-        raise ValueError(f"m_max must be >= 1, got {m_max}")
+    m_max = as_int(m_max, "m_max", 1)
     check_sieve_limit(m_max)
-    every = as_int(every, "every")
-    if every < 1:
-        raise ValueError(f"every must be >= 1, got {every}")
+    every = as_int(every, "every", 1)
     return _error_term_rows(build_totient_table(m_max), range(every, m_max + 1, every))
 
 

@@ -11,17 +11,31 @@ from gridcount import (
     MAX_GRID_N,
     GridQuery,
     ResourceLimitError,
+    build_totient_table,
     count_set,
     decompose_lemma,
+    e_phi,
+    e_r,
     f_direct,
     f_fast,
+    f_from_moments,
+    iter_error_terms,
     lines_at_least,
     lines_exactly,
+    main_term_f,
+    main_term_lines_eq,
+    main_term_lines_ge,
+    oracle_line_histogram,
+    oracle_segments,
+    oracle_threshold_count,
     residual,
     scan_residuals,
     segments_count,
+    summatory_phi,
     threshold_count,
+    totient_moments,
 )
+from gridcount.totient import _sublinear_moments
 
 
 class TestGridQuery:
@@ -93,6 +107,53 @@ class TestIntegerBoundary:
             lines_exactly(3, bad)
         with pytest.raises(TypeError):
             scan_residuals(1, [bad])
+
+    def test_f_from_moments_past_int64(self):
+        m = self.N - 1
+        (moments,) = totient_moments(build_totient_table(m), [m])
+        f = f_from_moments(np.int64(self.N), np.int64(1), moments)
+        assert type(f) is int and f == f_fast(GridQuery(self.N, 1))
+        with pytest.raises(TypeError):
+            f_from_moments(True, 1, moments)
+        with pytest.raises(TypeError):
+            f_from_moments(self.N, True, moments)
+
+    # every library argument with a least value: (call on the value, what, least)
+    RANGE_RULE = {
+        "GridQuery.n": (lambda v: GridQuery(v, 1), "grid side n", 1),
+        "GridQuery.q": (lambda v: GridQuery(1, v), "gcd class q", 1),
+        "lines_at_least.q": (lambda v: lines_at_least(5, v), "line size q", 2),
+        "lines_exactly.q": (lambda v: lines_exactly(5, v), "line size q", 2),
+        "segments_count.p": (lambda v: segments_count(5, v), "segment size p", 2),
+        "main_term_f.n": (lambda v: main_term_f(v, 1), "grid side n", 1),
+        "main_term_f.q": (lambda v: main_term_f(5, v), "gcd class q", 1),
+        "main_term_lines_ge.n": (lambda v: main_term_lines_ge(v, 2), "grid side n", 1),
+        "main_term_lines_ge.q": (lambda v: main_term_lines_ge(5, v), "line size q", 2),
+        "main_term_lines_eq.n": (lambda v: main_term_lines_eq(v, 2), "grid side n", 1),
+        "main_term_lines_eq.q": (lambda v: main_term_lines_eq(5, v), "line size q", 2),
+        "scan_residuals.n": (lambda v: scan_residuals(1, [v, 5]), "grid side n", 1),
+        "build_totient_table": (build_totient_table, "sieve limit", 1),
+        "totient_moments.m": (
+            lambda v: totient_moments(build_totient_table(10), [5, v]), "m", 0
+        ),
+        "_sublinear_moments.m": (lambda v: _sublinear_moments([5, v]), "m", 0),
+        "summatory_phi": (summatory_phi, "index i", 1),
+        "e_phi": (e_phi, "index i", 1),
+        "e_r": (e_r, "index i", 1),
+        "iter_error_terms.m_max": (iter_error_terms, "m_max", 1),
+        "iter_error_terms.every": (lambda v: iter_error_terms(10, v), "every", 1),
+        "oracle_line_histogram": (oracle_line_histogram, "grid side", 2),
+        "oracle_segments.n": (lambda v: oracle_segments(v, 2), "grid side", 2),
+        "oracle_segments.p": (lambda v: oracle_segments(5, v), "segment size p", 2),
+        "oracle_threshold_count": (oracle_threshold_count, "grid side", 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RANGE_RULE))
+    def test_below_least_raises_one_message(self, name):
+        call, what, least = self.RANGE_RULE[name]
+        with pytest.raises(ValueError) as info:
+            call(least - 1)
+        assert str(info.value) == f"{what} must be >= {least}, got {least - 1}"
 
 
 class TestFDirect:

@@ -199,6 +199,11 @@ def test_validation(table100):
         totient_moments(table100, [-1, 3])
     with pytest.raises(ValueError, match="need at least 101"):
         totient_moments(table100, [3, 101])
+    for ms in ([True], [3, np.True_]):
+        with pytest.raises(TypeError):
+            totient_moments(table100, ms)
+        with pytest.raises(TypeError):
+            _sublinear_moments(ms)
 
 
 def test_invariant_checks_raise():

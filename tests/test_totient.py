@@ -150,6 +150,13 @@ class TestSieve:
         with pytest.raises(ValueError):
             build_totient_table(-5)
 
+    def test_limit_is_a_plain_int(self):
+        t = build_totient_table(np.int64(10))
+        assert type(t.limit) is int and t.limit == 10
+        for bad in (True, 10.0):
+            with pytest.raises(TypeError):
+                build_totient_table(bad)
+
     def test_limit_raises_before_allocating(self):
         tracemalloc.start()
         try:

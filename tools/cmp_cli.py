@@ -7,12 +7,15 @@ PARENT_SRC is the ``src`` directory of the other copy, for example of a
 the three ``--format`` values, once from this checkout's ``src`` and once
 from PARENT_SRC, and each run whose stdout, stderr or exit code differs is
 reported.  Exits 0 when every run agrees, 1 otherwise.  Standard library
-only.
+only.  ``python3 tools/cmp_cli.py src`` compares the checkout with itself,
+so every run must give the same bytes twice.
 
 ARGVS covers the benchmark-sized calls, every subcommand on small inputs,
-and every error path: bad and out-of-range values, usage errors, and runs
-under GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer reads, so its
-output must not change.  A leading ``NAME=value`` sets that variable.
+and every error path: bad and out-of-range values, argvs with more than
+one fault (which fault is reported depends on the check order), usage
+errors, and runs under GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer
+reads, so its output must not change.  A leading ``NAME=value`` sets that
+variable.
 """
 
 from __future__ import annotations
@@ -103,6 +106,16 @@ ARGVS = [
     "errterms --m-max 1000000000",
     "errterms --m-max 0 --every 0",
     "errterms --m-max 1000000000 --every 0",
+    # more than one fault: the first checked one is reported
+    "oracle --n 26 --threshold",
+    "oracle --n 1 --threshold",
+    "scan --q 1 --n-start 0 --n-end 10 --step 0",
+    "scan --q 0 --n-start 0 --n-end 10",
+    "scan --q 0 --n-start 5 --n-end 1",
+    "errterms --m-max -5 --every -1",
+    "scan --q 1 --n-start 0 --n-end 100000000000",
+    "counts --n 0 --q 0",
+    "fq --n 0 --q 0",
     # a variable gridcount no longer reads
     "GRIDCOUNT_SIEVE_LIMIT=100 fq --n 1000 --q 1",
     "GRIDCOUNT_SIEVE_LIMIT=100 counts --n 1000 --q 2",

@@ -18,11 +18,12 @@ difference never matches any q >= 1.
 
 Every fast count reads the exact weighted totient moments
 S_k(m) = sum_{i<=m} i^k phi(i), k = 0, 1, 2, at its few m, from the
-totient module's sublinear evaluator.  Up to m = 2^18 it sieves to m and
-walks the sieve; above, it works from a presieve of about 10 m^(2/3)
-entries, so a point query at n = 10^7 never sieves to 10^7.  A caller
-that keeps its own sieve gets the same f from f_from_moments over a
-totient_moments walk of it.  Only decompose_lemma, the independent
+totient module's sublinear evaluator.  Up to m = 2^10 its recursion
+alone answers, so no sieve is built and numpy is not loaded; up to
+m = 2^18 it sieves to m and walks the sieve; above, it works from a
+presieve of about 10 m^(2/3) entries, so a point query at n = 10^7 never
+sieves to 10^7.  A caller that keeps its own sieve gets the same f from
+f_from_moments over a totient_moments walk of it.  Only decompose_lemma, the independent
 reference the kernel is checked against, reads phi itself.
 """
 
@@ -112,7 +113,8 @@ def f_direct(query: GridQuery) -> int:
 
 def f_from_moments(n: int, q: int, moments: Moments) -> int:
     """f_q(n) = 4 (2n^2 S_0 - 3nq S_1 + q^2 S_2), moments at m = (n-1)//q."""
-    n, q = as_int(n, "grid side n"), as_int(q, "gcd class q")  # numpy ints would wrap
+    # numpy ints would wrap
+    n, q = as_int(n, "grid side n", 1), as_int(q, "gcd class q", 1)
     s0, s1, s2 = moments
     return 4 * (2 * n * n * s0 - 3 * n * q * s1 + q * q * s2)
 

@@ -21,7 +21,8 @@ through one private walk, exact for every index up to SIEVE_LIMIT, the
 one cap on the sieve and on every moment index.  numpy is imported only
 inside the sieve (build_totient_table and its _primes_upto) and the
 walk, so importing this module, or a command that never sieves, does
-not load it.
+not load it; a point query or count whose largest m is at most 2^10
+is answered by the recursion alone and never sieves.
 """
 
 from __future__ import annotations
@@ -61,7 +62,9 @@ _SIEVE_BLOCK = 1 << 16
 _ROW = 1 << 11
 _ROWS = 8
 
-# Smallest presieve of _sublinear_moments; see _presieve_size.
+# Largest m that _sublinear_moments answers by its recursion alone, and
+# its smallest presieve above that; see _presieve_size.
+_RECURSION_ONLY_MAX = 1 << 10
 _PRESIEVE_MIN = 1 << 18
 
 Moments = tuple[int, int, int]
@@ -235,15 +238,29 @@ def _check_ms(ms: Iterable[int]) -> list[int]:
 def _presieve_size(x: int) -> int:
     """The table size y that _sublinear_moments sieves for a largest m of x.
 
-    y = x up to 2^18, then max(2^18, 10 x^(2/3)).  The numpy sieve and walk
-    cost a few ns per entry and the Python recursion about 4 x / sqrt(y)
-    loop steps, so the best y grows like x^(2/3).  Timed on a 2-core
-    x86-64 VM (Python 3.11, three m per call), the best y was about
-    10 x^(2/3) from x = 3 10^6 to 10^8 (0.07 s at 10^7 - 10, 0.29 s at
-    10^8, against 0.32 s and 5.8 s with y = x), and within 10 % of the
+    y = min(x, 1) up to 2^10, so nothing is sieved and numpy is not
+    loaded; then y = x up to 2^18, then max(2^18, 10 x^(2/3)).  Timed
+    in-process on a 2-core x86-64 VM (Python 3.11, numpy already loaded,
+    medians of 15 calls with one m), the recursion alone against a sieve
+    to x and its walk:
+
+        x            24     100     256     512    1024    3000   10^4
+        recursion  0.03    0.08    0.17    0.26    0.42    0.94   2.2 ms
+        sieve      0.15    0.20    0.24    0.29    0.36    0.48   0.67 ms
+
+    so they break even near 2^9, and at 2^10 the recursion costs under
+    0.1 ms more, while a process that has not loaded numpy saves its
+    import, about 0.07 to 0.1 s.
+    Above 2^10 the numpy sieve and walk cost a few ns per entry and the
+    Python recursion about 4 x / sqrt(y) loop steps, so the best y grows
+    like x^(2/3).  Timed on the same VM (three m per call), the best y was
+    about 10 x^(2/3) from x = 3 10^6 to 10^8 (0.07 s at 10^7 - 10, 0.29 s
+    at 10^8, against 0.32 s and 5.8 s with y = x), and within 10 % of the
     best over a factor of two either side.  Up to x = 2^18 a full sieve
     costs under 10 ms, so the recursion is not worth its setup there.
     """
+    if x <= _RECURSION_ONLY_MAX:
+        return min(x, 1)
     return min(x, max(_PRESIEVE_MIN, 10 * round(x ** (2 / 3))))
 
 
@@ -284,15 +301,16 @@ def _moments_from_below(v: int, memo: dict[int, Moments]) -> Moments:
 def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]:
     """(S_0(m), S_1(m), S_2(m)) per m, as totient_moments, without a table to max(ms).
 
-    Every m <= y, and every quotient m // d <= y of a larger m, is read
+    Every m <= y, and every quotient 1 < m // d <= y of a larger m, is read
     from one totient_moments walk of a table sieved to the largest of them,
-    at most y.  The quotients above y are then filled in from the smallest
-    up by _moments_from_below, whose every argument v // e is again a
-    quotient of the same m; one memo serves all ms.  This is the hyperbola
-    method of Deleglise and Rivat (Exp. Math. 5, 1996) on the identity
-    (i^k phi) * i^k = i^(k+1).  y defaults to _presieve_size(max(ms)); any
-    y in 1..max(ms) gives the same sums.  Every sum is a plain Python int,
-    so all are exact.
+    at most y; S_k(1) = phi(1) = 1 is known without one, so y = 1 sieves
+    nothing and does not load numpy.  The quotients above y are then
+    filled in from the smallest up by _moments_from_below, whose every
+    argument v // e is again a quotient of the same m; one memo serves all
+    ms.  This is the hyperbola method of Deleglise and Rivat (Exp. Math. 5,
+    1996) on the identity (i^k phi) * i^k = i^(k+1).  y defaults to
+    _presieve_size(max(ms)); any y in 1..max(ms) gives the same sums.
+    Every sum is a plain Python int, so all are exact.
     """
     ms = _check_ms(ms)
     x = ms[-1] if ms else 0
@@ -302,12 +320,12 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
     values: set[int] = set()
     for m in ms:
         values.update(_quotients(m) if m > y else (m,))
-    small = sorted(v for v in values if 0 < v <= y)
-    memo: dict[int, Moments] = {0: (0, 0, 0)}
+    small = sorted(v for v in values if 1 < v <= y)
+    memo: dict[int, Moments] = {0: (0, 0, 0), 1: (1, 1, 1)}
     if small:
         table = build_totient_table(small[-1])
         memo.update(zip(small, totient_moments(table, small)))
-    for v in sorted(v for v in values if v > y):
+    for v in sorted(values.difference(memo)):
         memo[v] = _moments_from_below(v, memo)
     return [memo[m] for m in ms]
 

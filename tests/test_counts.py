@@ -122,6 +122,12 @@ class TestIntegerBoundary:
     RANGE_RULE = {
         "GridQuery.n": (lambda v: GridQuery(v, 1), "grid side n", 1),
         "GridQuery.q": (lambda v: GridQuery(1, v), "gcd class q", 1),
+        "f_from_moments.n": (
+            lambda v: f_from_moments(v, 1, (1, 1, 1)), "grid side n", 1
+        ),
+        "f_from_moments.q": (
+            lambda v: f_from_moments(5, v, (1, 1, 1)), "gcd class q", 1
+        ),
         "lines_at_least.q": (lambda v: lines_at_least(5, v), "line size q", 2),
         "lines_exactly.q": (lambda v: lines_exactly(5, v), "line size q", 2),
         "segments_count.p": (lambda v: segments_count(5, v), "segment size p", 2),

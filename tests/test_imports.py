@@ -52,7 +52,12 @@ def test_import_leaves_numpy_out():
     "argv, numpy",
     [
         (["oracle", "--n", "4", "--threshold"], False),
-        (["fq", "--n", "10", "--q", "1"], True),
+        # every m <= 2^10 comes from the recursion alone, with no sieve
+        (["fq", "--n", "10", "--q", "1"], False),
+        (["counts", "--n", "25", "--q", "7"], False),
+        (["threshold", "--n", "4"], False),
+        (["fq", "--n", "1026", "--q", "1"], True),  # m = 1025
+        (["fq", "--n", "10000000", "--q", "1"], True),
     ],
 )
 def test_numpy_loaded_only_by_commands_that_sieve(argv, numpy):

@@ -216,8 +216,9 @@ def test_invariant_checks_raise():
         _exactly(5, 2, 10, 12, 4)
 
 
-# The presieve rule's breakpoints: y = x up to 2^18, then y = 2^18 up to
-# PRESIEVE_KNEE, then about 10 x^(2/3).
+# The presieve rule's breakpoints: y = 1 (no sieve) up to 2^10, y = x up
+# to 2^18, then y = 2^18 up to PRESIEVE_KNEE, then about 10 x^(2/3).
+RECURSION_ONLY_MAX = 1 << 10
 PRESIEVE_MIN = 1 << 18
 PRESIEVE_KNEE = 4_244_361
 SUBLINEAR_XS = [
@@ -248,8 +249,23 @@ def test_sublinear_matches_the_walk_for_any_presieve(case, table_2e5):
     assert _sublinear_moments(ms, y) == totient_moments(table_2e5, ms)
 
 
+@given(ms=st.lists(st.integers(0, 2 * 10**5), min_size=1, max_size=6).map(sorted))
+@settings(max_examples=100, deadline=None)
+def test_recursion_alone_needs_no_sieve(ms, table_2e5):
+    # y = 1: every quotient above 1 comes from the recursion, none from a table
+    def refuse(limit):
+        raise RuntimeError(f"sieved to {limit}")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(totient, "build_totient_table", refuse)
+        got = _sublinear_moments(ms, 1)
+    assert got == totient_moments(table_2e5, ms)
+
+
 def test_presieve_rule_breakpoints():
     assert [_presieve_size(x) for x in (0, 1, PRESIEVE_MIN)] == [0, 1, PRESIEVE_MIN]
+    assert _presieve_size(RECURSION_ONLY_MAX) == 1
+    assert _presieve_size(RECURSION_ONLY_MAX + 1) == RECURSION_ONLY_MAX + 1
     assert _presieve_size(PRESIEVE_MIN + 1) == PRESIEVE_MIN
     assert _presieve_size(PRESIEVE_KNEE) == PRESIEVE_MIN
     assert _presieve_size(PRESIEVE_KNEE + 1) > PRESIEVE_MIN
@@ -263,7 +279,9 @@ def test_sublinear_matches_the_walk_at_fixed_points(x, table_1e7):
     assert _sublinear_moments(ms) == totient_moments(table_1e7, ms)
 
 
-@pytest.mark.parametrize("n", [2, 3, 10, 1000, 2**16 + 1, PRESIEVE_KNEE + 2, 10**7])
+@pytest.mark.parametrize(
+    "n", [2, 3, 10, 25, 1000, 1025, 1026, 2**16 + 1, PRESIEVE_KNEE + 2, 10**7]
+)
 def test_counts_agree_with_and_without_a_table(n, table_1e7):
     # the table-free counts against f from a walk of a full table
     def walked(q):

@@ -11,6 +11,7 @@ only.  ``python3 tools/cmp_cli.py src`` compares the checkout with itself,
 so every run must give the same bytes twice.
 
 ARGVS covers the benchmark-sized calls, every subcommand on small inputs,
+counts either side of m = 2^10, the largest m answered without a sieve,
 and every error path: bad and out-of-range values, argvs with more than
 one fault (which fault is reported depends on the check order), usage
 errors, and runs under GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer
@@ -73,6 +74,11 @@ ARGVS = [
     "threshold --n 1",
     "threshold --n 12",
     "threshold --n 1000",
+    # either side of m = 2^10, the largest m answered without a sieve
+    "fq --n 1025 --q 1",
+    "fq --n 1026 --q 1",
+    "counts --n 2050 --q 2",
+    "threshold --n 1025",
     # bad values: exit 1
     "fq --n 0 --q 1",
     "fq --n 5 --q 0",

@@ -1,11 +1,14 @@
 """Brute-force geometric oracles on small grids.
 
-These enumerate actual point pairs, lines, and threshold dichotomies, with
-no shared code or formulas with the fast counting paths, so the two can
-check each other.  Sizes are capped (n <= 25 for pair enumeration, n <= 4
-for thresholds) since costs grow like n^4; ``force`` lifts a cap for
-callers who accept the wait.  n and p are checked as the counts check
-them: numpy integers pass, and bools and floats raise TypeError.
+The segment oracle enumerates actual point pairs, the line oracle walks
+every line through two or more grid points from its first point, and the
+threshold oracle enumerates dichotomies as bitmasks.  None shares code or
+formulas with the fast counting paths, so the two can check each other.
+Sizes are capped (n <= 25 for lines and segments, n <= 4 for thresholds):
+the pair scan and the line walk both take time growing like n^4, though
+each keeps only a small tally, not a key per line or pair; ``force`` lifts
+a cap for callers who accept the wait.  n and p are checked as the counts
+check them: numpy integers pass, and bools and floats raise TypeError.
 """
 
 from __future__ import annotations
@@ -21,23 +24,6 @@ ORACLE_GRID_LIMIT = 25
 THRESHOLD_GRID_LIMIT = 4
 
 Point = tuple[int, int]
-
-
-def _line_key(px: int, py: int, qx: int, qy: int) -> tuple[int, int, int]:
-    """(a, b, c) of the line a*x + b*y + c = 0 through (px, py) != (qx, qy).
-
-    The key is in lowest terms with a fixed sign: gcd(|a|, |b|, |c|) = 1,
-    and a > 0, or a = 0 and b > 0.  So two point pairs span the same line
-    iff their keys are equal.
-    """
-    a = qy - py
-    b = px - qx
-    c = -(a * px + b * py)
-    g = math.gcd(a, b, c)
-    a, b, c = a // g, b // g, c // g
-    if a < 0 or (a == 0 and b < 0):
-        return -a, -b, -c
-    return a, b, c
 
 
 def _check_grid(
@@ -56,29 +42,49 @@ def _grid_points(n: int) -> list[Point]:
     return [(x, y) for x in range(n) for y in range(n)]
 
 
-def _points_on_line(pairs: int) -> int:
-    """The p with C(p, 2) == pairs: a line through p points holds that many."""
-    p = (1 + math.isqrt(1 + 8 * pairs)) // 2
-    if p * (p - 1) // 2 != pairs:
-        raise ArithmeticError(f"{pairs} pairs on one line is not C(p, 2) for any p")
-    return p
-
-
 def oracle_line_histogram(n: int, force: bool = False) -> dict[int, int]:
     """How many lines meet the n x n grid in exactly p points, as {p: lines}.
 
-    Every line through >= 2 grid points is enumerated: each unordered point
-    pair is counted under its line's key, and a line through p grid points
-    collects exactly C(p, 2) pairs, which gives p back.  Keys are sorted,
-    and a p that no line meets is absent.
+    Every line through >= 2 grid points is walked once, from its first
+    point along its direction.  For each primitive direction d = (dx, dy)
+    with 0 <= dx < n, |dy| < n, gcd(dx, dy) = 1, and dx > 0 or d = (0, 1),
+    a first point is a grid point p with p - d off the grid and p + d on
+    it; the walk steps p, p + d, p + 2d, ... while the point stays on the
+    grid and counts one line through the number of points visited.  Keys
+    are sorted, and a p that no line meets is absent.
+
+    This finds every such line exactly once.  Two of its grid points differ
+    by a vector whose coordinates lie in (-n, n); divided by their gcd, it
+    is a primitive direction, and of it and its negation exactly one has
+    dx > 0 or is (0, 1).  So each line has exactly one direction walked,
+    and no other direction walked lies along it.  The line's lattice
+    points are spaced by d, and the square is convex, so its grid points
+    form one contiguous run along d of at least two points, which has
+    exactly one first point, and the walk from it visits the whole run.
+    Conversely, a first point of a walked direction starts the run of the
+    line through p and p + d.
     """
     n = _check_grid(n, ORACLE_GRID_LIMIT, force)
-    pairs = Counter(
-        _line_key(px, py, qx, qy)
-        for (px, py), (qx, qy) in combinations(_grid_points(n), 2)
-    )
-    counts = Counter(_points_on_line(k) for k in pairs.values())
-    return dict(sorted(counts.items()))
+    lines: Counter = Counter()
+    for dx in range(n):
+        for dy in range(1 - n, n):
+            if math.gcd(dx, dy) != 1 or (dx == 0 and dy != 1):
+                continue
+            # the candidates are the points p = (x, y) with p + d on the grid
+            ys = range(max(0, -dy), min(n, n - dy))
+            for x in range(n - dx):
+                for y in ys:
+                    if x >= dx and 0 <= y - dy < n:
+                        continue  # p - d is on the grid
+                    visited = 2
+                    px = x + 2 * dx
+                    py = y + 2 * dy
+                    while px < n and 0 <= py < n:
+                        visited += 1
+                        px += dx
+                        py += dy
+                    lines[visited] += 1
+    return dict(sorted(lines.items()))
 
 
 @lru_cache(maxsize=None)

@@ -13,15 +13,32 @@ from hypothesis import strategies as st
 
 from gridcount import (
     ResourceLimitError,
+    lines_exactly,
     oracle,
     oracle_line_histogram,
     oracle_segments,
     oracle_threshold_count,
 )
-from gridcount.oracle import _line_key, _points_on_line
 
 coord = st.integers(-50, 50)
 point = st.tuples(coord, coord)
+
+
+def _line_key(px, py, qx, qy):
+    """(a, b, c) of the line a*x + b*y + c = 0 through (px, py) != (qx, qy).
+
+    The key is in lowest terms with a fixed sign: gcd(|a|, |b|, |c|) = 1,
+    and a > 0, or a = 0 and b > 0.  So two point pairs span the same line
+    iff their keys are equal.
+    """
+    a = qy - py
+    b = px - qx
+    c = -(a * px + b * py)
+    g = math.gcd(a, b, c)
+    a, b, c = a // g, b // g, c // g
+    if a < 0 or (a == 0 and b < 0):
+        return -a, -b, -c
+    return a, b, c
 
 
 def key(p, q):
@@ -29,7 +46,7 @@ def key(p, q):
 
 
 class TestCanonicalLine:
-    """The (a, b, c) key the line oracle counts pairs under."""
+    """The (a, b, c) key the pair-based reference gathers points under."""
 
     def test_basic(self):
         assert key((0, 0), (2, 4)) == (2, -1, 0)
@@ -99,7 +116,7 @@ class TestCanonicalLine:
 
 
 def line_histogram_by_point_sets(n):
-    """The set-based line oracle: points gathered per line key."""
+    """A pair-based line census: the points of every pair gathered per line key."""
     grid = [(x, y) for x in range(n) for y in range(n)]
     points = {}
     for p, q in combinations(grid, 2):
@@ -114,13 +131,6 @@ class TestLineHistogram:
         assert hist == line_histogram_by_point_sets(n)
         assert list(hist) == sorted(hist)
 
-    def test_points_from_pair_count(self):
-        for p in range(2, 60):
-            assert _points_on_line(math.comb(p, 2)) == p
-        for pairs in (2, 4, 5, 7, 9, 44):
-            with pytest.raises(ArithmeticError):
-                _points_on_line(pairs)
-
     def test_n2(self):
         hist = oracle_line_histogram(2)
         assert hist == {2: 6}
@@ -132,11 +142,20 @@ class TestLineHistogram:
     def test_n5(self):
         assert oracle_line_histogram(5) == {2: 108, 3: 16, 4: 4, 5: 12}
 
+    PAST_CAP = (26, 30, 40)
+
     def test_pair_identity(self):
-        for n in range(2, 11):
-            hist = oracle_line_histogram(n)
+        # a line through p grid points holds C(p, 2) of the point pairs
+        for n in (*range(2, 26), *self.PAST_CAP):
+            hist = oracle_line_histogram(n, force=True)
             paired = sum(math.comb(p, 2) * c for p, c in hist.items())
             assert paired == math.comb(n * n, 2), n
+
+    @pytest.mark.parametrize("n", PAST_CAP)
+    def test_matches_exact_counts_past_the_cap(self, n):
+        exact = {p: lines_exactly(n, p) for p in range(2, n + 1)}
+        expected = {p: lines for p, lines in exact.items() if lines}
+        assert oracle_line_histogram(n, force=True) == expected
 
     def test_support_bounds(self):
         hist = oracle_line_histogram(7)
@@ -146,8 +165,6 @@ class TestLineHistogram:
     def test_guardrail(self):
         with pytest.raises(ResourceLimitError):
             oracle_line_histogram(26)
-        hist = oracle_line_histogram(26, force=True)
-        assert sum(hist.values()) > 0
 
     def test_too_small(self):
         with pytest.raises(ValueError):

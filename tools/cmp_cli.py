@@ -11,12 +11,12 @@ only.  ``python3 tools/cmp_cli.py src`` compares the checkout with itself,
 so every run must give the same bytes twice.
 
 ARGVS covers the benchmark-sized calls, every subcommand on small inputs,
-counts either side of m = 2^10, the largest m answered without a sieve,
-and every error path: bad and out-of-range values, argvs with more than
-one fault (which fault is reported depends on the check order), usage
-errors, and runs under GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer
-reads, so its output must not change.  A leading ``NAME=value`` sets that
-variable.
+the forced oracle past its cap, counts either side of m = 2^10, the
+largest m answered without a sieve, and every error path: bad and
+out-of-range values, argvs with more than one fault (which fault is
+reported depends on the check order), usage errors, and runs under
+GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer reads, so its output
+must not change.  A leading ``NAME=value`` sets that variable.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ ARGVS = [
     "oracle --n 3 --threshold",
     "oracle --n 5",
     "oracle --n 25",
+    "oracle --n 30 --force",  # the forced path past the cap
     "errterms --m-max 1",
     "errterms --m-max 100",
     "errterms --m-max 1000 --every 10",

@@ -7,7 +7,7 @@ a sublinear recursion over a small presieve.  A caller that keeps its own
 totient table gets the same f from f_from_moments over a totient_moments
 walk of it.  The totient error terms (summatory_phi, e_phi, e_r and the
 iter_error_terms stream) likewise size their own sieve from the index
-they are asked for.  Segment counts, line counts, and the number of
+they are asked for, and read it in blocks as it is sieved.  Segment counts, line counts, and the number of
 linear threshold dichotomies all derive from f by exact integer
 arithmetic.
 Independent brute-force oracles cover small grids, and the asympt module

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 from . import totient
 from .counts import GridQuery, f_fast, f_from_moments
 from .errors import ResourceLimitError, as_int
-from .totient import PI_SQUARED, totient_moments
+from .totient import PI_SQUARED
 
 RH_EXPONENT = 2.5
 UNCONDITIONAL_EXPONENT = 3.0
@@ -126,9 +126,9 @@ def scan_residuals(q: int, n_values: Iterable[int]) -> list[ScanRow]:
 
     ``normalized`` is |residual| / n^4, handy for eyeballing decay against
     the main-term order.  Row order follows n_values.  Once the arguments
-    are checked, one table is sieved to the largest m = (n - 1) // q the
-    rows read, and all exact counts come from one forward pass of
-    totient_moments over it.
+    are checked, phi is sieved in blocks to the largest m = (n - 1) // q
+    the rows read, and all exact counts come from one forward walk of the
+    blocks as they are sieved, so no table is held.
     """
     ns = [as_int(n, "grid side n", 1) for n in n_values]
     if not ns:
@@ -136,9 +136,8 @@ def scan_residuals(q: int, n_values: Iterable[int]) -> list[ScanRow]:
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise ValueError("n_values must be strictly increasing")
     q = GridQuery(ns[-1], q).q  # validates q and the largest n
-    table = totient.build_totient_table(max((ns[-1] - 1) // q, 1))
     rows = []
-    for n, moments in zip(ns, totient_moments(table, [(n - 1) // q for n in ns])):
+    for n, moments in zip(ns, totient._streamed_moments([(n - 1) // q for n in ns])):
         exact = f_from_moments(n, q, moments)
         main = main_term_f(n, q)
         res = exact - main

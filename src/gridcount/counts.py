@@ -36,9 +36,10 @@ from .errors import ResourceLimitError, as_int
 from .totient import Moments, TotientTable, _check_table, _sublinear_moments
 
 #: Largest accepted grid side.  The counts sieve only a presieve, at most
-#: 464,160 entries at this n, so the cap now bounds scan, which sieves to
-#: (n - 1) // q (40 MB of phi at q = 1), and keeps every n inside the
-#: range the tests check.  ROADMAP item 9 lifts it.
+#: 464,160 entries at this n, and scan streams phi to (n - 1) // q in
+#: blocks of at most 2^20 entries, holding no table, so the cap bounds
+#: scan's time and its list of rows (ROADMAP item 8), and keeps every n
+#: inside the range the tests check.  ROADMAP item 9 lifts it.
 MAX_GRID_N = 10**7
 
 

@@ -1,28 +1,31 @@
 """Euler totient sieve, the moment walk over it, a sublinear moment
 evaluator, and second-order error terms.
 
-The table produced here, phi(i) for all i up to a limit, is read by one
-exact kernel, totient_moments, which returns S_k(m) = sum_{i<=m} i^k phi(i)
-for k = 0, 1, 2 at a nondecreasing list of m in one walk.  The counts and
-the point queries use _sublinear_moments instead: the same sums at a few
-large m from the hyperbola recursion over the quotients m // d, whose
-small quotients come from a totient_moments walk of a presieve of about
-10 m^(2/3) entries.  The summatory function is Phi(i) = S_0(i), and
-sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).  On top of that sit two
-error terms used for growth diagnostics,
+phi is sieved in consecutive blocks (_sieve_blocks), and one exact walk
+over blocks (_walk) gives S_k(m) = sum_{i<=m} i^k phi(i) for k = 0, 1, 2
+at a nondecreasing list of m in one pass.  A caller that keeps phi, the
+public TotientTable of build_totient_table, walks it as a single block
+through totient_moments.  Every other reader streams the blocks as they
+are sieved and never holds a table: the counts and the point queries use
+_sublinear_moments, the same sums at a few large m from the hyperbola
+recursion over the quotients m // d, whose small quotients come from a
+walk of a presieve of about 10 m^(2/3) entries; the error-term stream
+walks a sieve to its largest index.  The summatory function is
+Phi(i) = S_0(i), and sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).
+On top of that sit two error terms used for growth diagnostics,
 
     e_phi(i) = Phi(i) - 3 i^2 / pi^2
     e_r(i)   = sum_{j<=i} e_phi(j) - 3 i^2 / (2 pi^2)
 
-both reported as floats while all integer parts stay exact.  Every query
-sizes its own sieve: the point queries sieve only the presieve, and the
-error-term stream sieves to its largest index.  Each sieve is read
-through one private walk, exact for every index up to SIEVE_LIMIT, the
-one cap on the sieve and on every moment index.  numpy is imported only
-inside the sieve (build_totient_table and its _primes_upto) and the
-walk, so importing this module, or a command that never sieves, does
-not load it; a point query or count whose largest m is at most 2^10
-is answered by the recursion alone and never sieves.
+both reported as floats while all integer parts stay exact.  A streamed
+sieve holds three block-sized int32 buffers of at most 2^20 entries, so
+the error-term stream to 10^8 holds 12 MB of them instead of a 400 MB
+table.  The walk is exact for every index up to SIEVE_LIMIT, the one cap
+on the sieve and on every moment index.  numpy is imported only inside
+the sieve (_sieve_blocks and its _primes_upto) and the walk, so importing
+this module, or a command that never sieves, does not load it; a point
+query or count whose largest m is at most 2^10 is answered by the
+recursion alone and never sieves.
 """
 
 from __future__ import annotations
@@ -50,15 +53,13 @@ SIEVE_LIMIT = 10**8
 # once; Fraction(float) is exact, keeping e_r rounding to a single step.
 _TWO_PI_SQUARED = Fraction(2.0 * PI_SQUARED)
 
-# Smallest sieve block, in entries: below it the per-step numpy calls of
-# build_totient_table cost more than the strided arithmetic they do.
-_SIEVE_BLOCK = 1 << 16
-
 # The walk splits indices as i = b + j with 0 <= j < _ROW.  For i <=
 # SIEVE_LIMIT < 2^27, phi(i) < 2^27 and j^2 < 2^22, so each of a row's
 # sums of j^k phi(b + j), k <= 2, stays below 2^60 in int64.  Rows with no
 # requested m are reduced _ROWS at a time, one product per batch with the
-# _ROW x 3 matrix of j^k that each walk builds.
+# _ROW x 3 matrix of j^k that each walk builds.  The sieve yields phi in
+# blocks of whole batches (_block_size), so no row or batch straddles two
+# blocks.
 _ROW = 1 << 11
 _ROWS = 8
 
@@ -68,6 +69,8 @@ _RECURSION_ONLY_MAX = 1 << 10
 _PRESIEVE_MIN = 1 << 18
 
 Moments = tuple[int, int, int]
+# (lo, hi, phi(lo..hi - 1)) for consecutive ranges from lo = 0; see _walk
+Blocks = Iterable[tuple[int, int, Sequence[int]]]
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,25 @@ def check_sieve_limit(limit: int) -> int:
     return limit
 
 
-def build_totient_table(limit: int) -> TotientTable:
-    """Sieve phi(1..limit).
+def _block_size(limit: int) -> int:
+    """Entries per sieve block for a sieve to limit: limit / 16, rounded up
+    to whole batches of _ROW * _ROWS = 2^14 entries, and kept in 2^16..2^20.
+
+    Below 2^16 the per-step numpy calls of the sieve cost more than the
+    strided arithmetic they do.  The cap bounds what a stream holds of phi,
+    three int32 buffers of one block (12 MB at 2^20), and costs no time:
+    the three moments at 100 m up to 10^8, timed in-process on a 2-core
+    x86-64 VM (Python 3.11, numpy 2.4, three runs each), took 4.8 to 6.1 s
+    with 2^18-entry blocks, 3.4 to 4.4 s with 2^20, 4.8 to 5.2 s with 2^22
+    (peak RSS 31, 40 and 76 MB), and 5.3 to 6.0 s at 457 MB from a whole
+    table sieved in blocks of limit / 16.
+    """
+    batch = _ROW * _ROWS
+    return batch * min(64, max(4, -(-(limit >> 4) // batch)))
+
+
+def _sieve_blocks(limit: int) -> Iterator[tuple[int, int, np.ndarray]]:
+    """phi(0..limit) in consecutive blocks (lo, hi, phi(lo..hi - 1)), phi(0) = 0.
 
     phi is multiplicative, and every i <= limit has at most one prime
     factor above sqrt(limit).  So the sieve lists one step per prime power
@@ -111,11 +131,12 @@ def build_totient_table(limit: int) -> TotientTable:
     p - 1 for k = 1 and by p for k >= 2, which leaves phi of the
     sqrt(limit)-smooth part of each i, while a ``smooth`` array collects
     that part itself.  The quotient i // smooth is then 1 or the single
-    large prime P, and multiplying by P - 1 finishes phi(i).  Indices are
-    walked in blocks of max(2^16, limit / 16) entries, so the strided
-    multiplications stay inside one block-sized slice of the table.  The
-    peak allocation is the table's 4 bytes per entry plus two int32 block
-    temporaries, at most 4 + 1/2 bytes per entry from limit = 2^20 on.
+    large prime P, and multiplying by P - 1 finishes phi(i).  Each block
+    is _block_size(limit) entries (the last may be shorter) and starts at a
+    multiple of _ROW * _ROWS, as _walk needs.  One int32 buffer holds every
+    block, so a yielded block is overwritten by the next: copy it to keep
+    it.  With the ``smooth`` buffer and one temporary, the sieve holds
+    three block-sized int32 arrays, whatever the limit.
     """
     import numpy as np
 
@@ -128,31 +149,49 @@ def build_totient_table(limit: int) -> TotientTable:
             power, mult = power * p, p
     steps.sort()
 
-    phi = np.empty(limit + 1, dtype=np.int32)
-    phi[0] = 0
-    size = max(_SIEVE_BLOCK, limit >> 4)
-    smooth_buf = np.empty(min(size, limit), dtype=np.int32)
-    # index 0 never takes a step: every p^k divides it, and the product in
-    # ``smooth`` would wrap without a warning
-    for lo in range(1, limit + 1, size):
+    size = _block_size(limit)
+    phi_buf = np.empty(min(size, limit + 1), dtype=np.int32)
+    smooth_buf = np.empty_like(phi_buf)
+    for lo in range(0, limit + 1, size):
         hi = min(lo + size, limit + 1)
-        block = phi[lo:hi]
-        smooth = smooth_buf[: hi - lo]
-        block.fill(1)
+        block = phi_buf[: hi - lo]
+        # index 0 never takes a step: every p^k divides it, and the product
+        # in ``smooth`` would wrap without a warning
+        base = max(lo, 1)
+        part, smooth = block[base - lo :], smooth_buf[: hi - base]
+        part.fill(1)
         smooth.fill(1)
         for power, mult, p in steps:
             if power >= hi:
                 break
-            start = -lo % power
-            block[start::power] *= mult
+            start = -base % power
+            part[start::power] *= mult
             smooth[start::power] *= p
-        large = np.arange(lo, hi, dtype=np.int32)
+        large = np.arange(base, hi, dtype=np.int32)
         large //= smooth
         large -= 1
         np.maximum(large, 1, out=large)
-        block *= large
+        part *= large
         del large
+        block[: base - lo] = 0
+        yield lo, hi, block
 
+
+def build_totient_table(limit: int) -> TotientTable:
+    """Sieve phi(1..limit) into one table: the blocks of _sieve_blocks, collected.
+
+    The peak allocation is the table's 4 bytes per entry plus the sieve's
+    three int32 block buffers, at most 5 bytes per entry from limit = 10^6
+    on (4.77 at 10^7).  Only callers that keep a table need one: the
+    counts, the point queries, scan and the error-term stream read the
+    blocks as they are sieved.
+    """
+    import numpy as np
+
+    limit = check_sieve_limit(limit)
+    phi = np.empty(limit + 1, dtype=np.int32)
+    for lo, hi, block in _sieve_blocks(limit):
+        phi[lo:hi] = block
     phi.setflags(write=False)
     return TotientTable(limit=limit, phi=phi)
 
@@ -175,56 +214,78 @@ def _check_table(table: TotientTable, needed: int) -> None:
 
 
 def _walk(
-    table: TotientTable, ms: Sequence[int]
+    blocks: Blocks, ms: Sequence[int]
 ) -> Iterator[tuple[Sequence[int], int, Moments, list[list[int]]]]:
     """One pass over phi for the nondecreasing ms, one item per row that holds some.
 
-    phi is read in rows i = b + j, 0 <= j < _ROW, whose sums
-    A_k = sum_j j^k phi(b + j) are exact in int64.  Each item is (run, b,
-    (S_0, S_1, S_2) over i < b, [A_0, A_1, A_2] up to each m of run), and a
-    caller folds them as S_0 + A_0, S_1 + b A_0 + A_1 and
-    S_2 + b^2 A_0 + 2 b A_1 + A_2.  Rows below the next m are reduced
-    _ROWS at a time; the row holding an m is summed cumulatively.  Nothing
-    past max(ms) is read, and m = 0 reads nothing.  The caller checks ms
-    against the table (_check_table).
+    blocks are (lo, hi, phi(lo..hi - 1)) for consecutive ranges from lo = 0,
+    each starting at a multiple of _ROW * _ROWS: a whole table is one block,
+    and _sieve_blocks yields them as it sieves.  phi is read in rows
+    i = b + j, 0 <= j < _ROW, whose sums A_k = sum_j j^k phi(b + j) are
+    exact in int64.  Each item is (run, b, (S_0, S_1, S_2) over i < b,
+    [A_0, A_1, A_2] up to each m of run), and a caller folds them as
+    S_0 + A_0, S_1 + b A_0 + A_1 and S_2 + b^2 A_0 + 2 b A_1 + A_2.  Rows
+    below the next m are reduced _ROWS at a time; the row holding an m is
+    summed cumulatively.  Nothing past max(ms) is read, no block past the
+    one that holds it is asked for, and m = 0 reads nothing.  The caller
+    checks that the blocks reach max(ms) (_check_table).
     """
     import numpy as np
 
     powers = np.arange(_ROW, dtype=np.int64)[:, None] ** np.arange(3)
-    phi = table.phi
+    batch = _ROW * _ROWS
     i = bisect_right(ms, 0)
     if i:
         yield ms[:i], 0, (0, 0, 0), [[0] * i] * 3
     s0 = s1 = s2 = 0
     done = 0  # indices below done are folded into s0, s1, s2
-    while i < len(ms):
-        b = ms[i] - ms[i] % _ROW
-        k = bisect_left(ms, b + _ROW, i)
-        for lo in range(done, b, _ROW * _ROWS):
-            rows = phi[lo : min(lo + _ROW * _ROWS, b)].reshape(-1, _ROW)
-            for r, (a0, a1, a2) in zip(range(lo, b, _ROW), (rows @ powers).tolist()):
-                s0, s1, s2 = s0 + a0, s1 + r * a0 + a1, s2 + (r * a0 + 2 * a1) * r + a2
-        done = b
-        row = phi[b : ms[k - 1] + 1]
-        prefix = np.cumsum(row * powers[: len(row)].T, axis=1)
-        yield ms[i:k], b, (s0, s1, s2), prefix[:, np.subtract(ms[i:k], b)].tolist()
-        i = k
+    if i == len(ms):
+        return
+    for lo, hi, phi in blocks:
+        while True:
+            b = ms[i] - ms[i] % _ROW if ms[i] < hi else hi
+            for start in range(done, b, batch):
+                rows = phi[start - lo : min(start + batch, b) - lo].reshape(-1, _ROW)
+                for r, (a0, a1, a2) in zip(range(start, b, _ROW), (rows @ powers).tolist()):
+                    s0, s1, s2 = s0 + a0, s1 + r * a0 + a1, s2 + (r * a0 + 2 * a1) * r + a2
+            done = b
+            if b == hi:
+                break
+            k = bisect_left(ms, b + _ROW, i)
+            row = phi[b - lo : ms[k - 1] + 1 - lo]
+            prefix = np.cumsum(row * powers[: len(row)].T, axis=1)
+            yield ms[i:k], b, (s0, s1, s2), prefix[:, np.subtract(ms[i:k], b)].tolist()
+            i = k
+            if i == len(ms):
+                return
+    raise ValueError(f"phi blocks end below m = {ms[i]}")
+
+
+def _moments(blocks: Blocks, ms: Sequence[int]) -> list[Moments]:
+    """(S_0(m), S_1(m), S_2(m)) per m from one _walk of blocks."""
+    return [
+        (s0 + a0, s1 + b * a0 + a1, s2 + (b * a0 + 2 * a1) * b + a2)
+        for _, b, (s0, s1, s2), prefix in _walk(blocks, ms)
+        for a0, a1, a2 in zip(*prefix)
+    ]
 
 
 def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
     """(S_0(m), S_1(m), S_2(m)) with S_k(m) = sum_{i<=m} i^k phi(i), per m.
 
-    ``ms`` must be nondecreasing; the table is walked once (_walk), and
-    every sum is exact.  m > SIEVE_LIMIT raises ResourceLimitError before
-    the table is read, whatever the table's own limit.
+    ``ms`` must be nondecreasing; the table is walked once (_walk), as one
+    block, and every sum is exact.  m > SIEVE_LIMIT raises
+    ResourceLimitError before the table is read, whatever the table's own
+    limit.
     """
     ms = _check_ms(ms)
     _check_table(table, ms[-1] if ms else 0)
-    return [
-        (s0 + a0, s1 + b * a0 + a1, s2 + (b * a0 + 2 * a1) * b + a2)
-        for _, b, (s0, s1, s2), prefix in _walk(table, ms)
-        for a0, a1, a2 in zip(*prefix)
-    ]
+    return _moments([(0, table.limit + 1, table.phi)], ms)
+
+
+def _streamed_moments(ms: Sequence[int]) -> list[Moments]:
+    """totient_moments at checked ms, walked as phi is sieved to max(ms): no table."""
+    return _moments(_sieve_blocks(max(ms[-1], 1)), ms) if ms else []
 
 
 def _check_ms(ms: Iterable[int]) -> list[int]:
@@ -302,9 +363,9 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
     """(S_0(m), S_1(m), S_2(m)) per m, as totient_moments, without a table to max(ms).
 
     Every m <= y, and every quotient 1 < m // d <= y of a larger m, is read
-    from one totient_moments walk of a table sieved to the largest of them,
-    at most y; S_k(1) = phi(1) = 1 is known without one, so y = 1 sieves
-    nothing and does not load numpy.  The quotients above y are then
+    from one walk of blocks sieved to the largest of them, at most y, with
+    no table held (_streamed_moments); S_k(1) = phi(1) = 1 is known
+    without one, so y = 1 sieves nothing and does not load numpy.  The quotients above y are then
     filled in from the smallest up by _moments_from_below, whose every
     argument v // e is again a quotient of the same m; one memo serves all
     ms.  This is the hyperbola method of Deleglise and Rivat (Exp. Math. 5,
@@ -322,9 +383,7 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
         values.update(_quotients(m) if m > y else (m,))
     small = sorted(v for v in values if 1 < v <= y)
     memo: dict[int, Moments] = {0: (0, 0, 0), 1: (1, 1, 1)}
-    if small:
-        table = build_totient_table(small[-1])
-        memo.update(zip(small, totient_moments(table, small)))
+    memo.update(zip(small, _streamed_moments(small)))
     for v in sorted(values.difference(memo)):
         memo[v] = _moments_from_below(v, memo)
     return [memo[m] for m in ms]
@@ -376,23 +435,25 @@ def iter_error_terms(
     """Rows (m, Phi(m), e_phi(m), e_r(m)) for m = every, 2*every, ... <= m_max.
 
     The arguments are checked at the call, m_max >= 1, then the sieve
-    budget, then every >= 1, before phi is sieved to m_max.  Each row reads
-    S_0 and S_1 at m from one walk of that table; the sums are exact and
+    budget, then every >= 1, before phi is sieved.  Each row reads S_0 and
+    S_1 at m from one walk of the blocks as they are sieved, so no table is
+    held and nothing past the last row is sieved; the sums are exact and
     the floats come from the point queries' formulas, so every value
     matches e_phi() and e_r() to the last bit.
     """
     m_max = as_int(m_max, "m_max", 1)
     check_sieve_limit(m_max)
     every = as_int(every, "every", 1)
-    return _error_term_rows(build_totient_table(m_max), range(every, m_max + 1, every))
+    ms = range(every, m_max + 1, every)
+    return _error_term_rows(_walk(_sieve_blocks(m_max), ms))
 
 
 def _error_term_rows(
-    table: TotientTable, ms: range
+    walk: Iterator[tuple[Sequence[int], int, Moments, list[list[int]]]],
 ) -> Iterator[tuple[int, int, float, float]]:
     # Phi(m) = S_0(m) and sum_{j<=m} Phi(j) = (m + 1) S_0(m) - S_1(m); only
     # the two moments the rows need are folded, as in totient_moments
-    for run, b, (s0, s1, _), (c0, c1, _) in _walk(table, ms):
+    for run, b, (s0, s1, _), (c0, c1, _) in walk:
         for m, a0, a1 in zip(run, c0, c1):
             phi_sum = s0 + a0
             second = (m + 1) * phi_sum - s1 - b * a0 - a1

@@ -250,7 +250,7 @@ class TestErrorContract:
     )
     def test_grid_cap_checked_before_sieving(self, runner, monkeypatch, args):
         sieved = []
-        monkeypatch.setattr(totient, "build_totient_table", sieved.append)
+        monkeypatch.setattr(totient, "_sieve_blocks", sieved.append)
         r = run(runner, *args)
         assert sieved == []
         assert r.exit_code == 1
@@ -283,7 +283,7 @@ class TestErrorContract:
         def refuse(limit):
             raise RuntimeError(f"sieved to {limit}")
 
-        monkeypatch.setattr(totient, "build_totient_table", refuse)
+        monkeypatch.setattr(totient, "_sieve_blocks", refuse)
         r = run(runner, "errterms", *args)
         assert r.exit_code == 1
         assert r.stderr == stderr

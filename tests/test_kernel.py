@@ -22,6 +22,7 @@ from gridcount import (
     f_fast,
     f_from_moments,
     iter_error_terms,
+    scan_residuals,
     summatory_phi,
     threshold_count,
     totient_moments,
@@ -29,7 +30,13 @@ from gridcount import (
 from gridcount import totient
 from gridcount.cli import main
 from gridcount.counts import _at_least, _exactly, _half_exact
-from gridcount.totient import _presieve_size, _sublinear_moments
+from gridcount.totient import (
+    _block_size,
+    _moments,
+    _presieve_size,
+    _sieve_blocks,
+    _sublinear_moments,
+)
 
 ROW = 1 << 11
 BLOCK = 1 << 14
@@ -171,7 +178,7 @@ def test_point_queries_raise_at_the_index_limit_before_reading(fn, monkeypatch):
         limits.append(limit)
         raise RuntimeError(f"sieved to {limit}")
 
-    monkeypatch.setattr(totient, "build_totient_table", refuse)
+    monkeypatch.setattr(totient, "_sieve_blocks", refuse)
     with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
         fn(SIEVE_LIMIT + 1)
     assert limits == []
@@ -185,7 +192,7 @@ def test_error_term_stream_raises_at_the_index_limit_before_reading(monkeypatch)
     def refuse(limit):
         raise RuntimeError(f"sieved to {limit}")
 
-    monkeypatch.setattr(totient, "build_totient_table", refuse)
+    monkeypatch.setattr(totient, "_sieve_blocks", refuse)
     with pytest.raises(ResourceLimitError, match=f"exceeds budget {SIEVE_LIMIT}$"):
         iter_error_terms(SIEVE_LIMIT + 1)
     with pytest.raises(RuntimeError, match=f"sieved to {SIEVE_LIMIT}$"):
@@ -257,7 +264,7 @@ def test_recursion_alone_needs_no_sieve(ms, table_2e5):
         raise RuntimeError(f"sieved to {limit}")
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(totient, "build_totient_table", refuse)
+        mp.setattr(totient, "_sieve_blocks", refuse)
         got = _sublinear_moments(ms, 1)
     assert got == totient_moments(table_2e5, ms)
 
@@ -303,7 +310,7 @@ def test_sublinear_raises_past_the_index_limit_before_sieving(monkeypatch):
     def refuse(limit):
         raise RuntimeError(f"sieved to {limit}")
 
-    monkeypatch.setattr(totient, "build_totient_table", refuse)
+    monkeypatch.setattr(totient, "_sieve_blocks", refuse)
     with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
         _sublinear_moments([5, SIEVE_LIMIT + 1])
     with pytest.raises(ValueError, match="nondecreasing"):
@@ -317,13 +324,114 @@ def test_sublinear_raises_past_the_index_limit_before_sieving(monkeypatch):
 )
 def test_point_queries_sieve_no_more_than_the_presieve(monkeypatch, args):
     limits = []
-    sieve = totient.build_totient_table
+    sieve = totient._sieve_blocks
 
     def record(limit):
         limits.append(limit)
         return sieve(limit)
 
-    monkeypatch.setattr(totient, "build_totient_table", record)
+    monkeypatch.setattr(totient, "_sieve_blocks", record)
     r = CliRunner().invoke(main, [*args, "--format", "csv"])
     assert r.exit_code == 0
     assert limits and max(limits) <= _presieve_size(int(args[2]) - 1)
+
+
+# The stream: phi sieved in blocks of whole 2^14-entry batches and walked
+# as it comes, against the walk of one whole table.  Up to 16 * 2^16 the
+# blocks are 2^16 entries; from 16 * (2^16 + 1) they grow by a batch per
+# 2^18 of limit, and from 16 * 2^20 they stay at 2^20.
+BLOCK_MIN, BLOCK_MAX = 1 << 16, 1 << 20
+STREAM_LIMITS = [
+    *(k * BLOCK + d for k in (1, 4, 5, 8) for d in (-1, 0, 1)),
+    *(16 * BLOCK_MIN + d for d in (-1, 0, 1, 16)),
+]
+
+
+def test_block_size_rule():
+    assert _block_size(1) == _block_size(16 * BLOCK_MIN + 15) == BLOCK_MIN
+    assert _block_size(16 * BLOCK_MIN + 16) == BLOCK_MIN + BLOCK
+    assert _block_size(10**7) == 39 * BLOCK  # 10^7 / 16 = 625,000 rounded up
+    assert _block_size(16 * BLOCK_MAX - 1) == _block_size(16 * BLOCK_MAX + 1) == BLOCK_MAX
+    assert _block_size(SIEVE_LIMIT) == BLOCK_MAX
+    for limit in STREAM_LIMITS:
+        # the blocks tile 0..limit, each on a batch edge
+        edges = [(lo, hi) for lo, hi, _ in _sieve_blocks(limit)]
+        assert (edges[0][0], edges[-1][1]) == (0, limit + 1)
+        assert [hi for _, hi in edges[:-1]] == [lo for lo, _ in edges[1:]]
+        assert all(lo % BLOCK == 0 and hi - lo <= _block_size(limit) for lo, hi in edges)
+
+
+@pytest.fixture(scope="module")
+def stream_table():
+    return build_totient_table(max(STREAM_LIMITS))
+
+
+@st.composite
+def streamed_case(draw):
+    limit = draw(st.sampled_from(STREAM_LIMITS))
+    near_edge = st.sampled_from([ROW, BLOCK, BLOCK_MIN]).flatmap(
+        lambda unit: st.builds(
+            lambda k, d: unit * k + d, st.integers(0, limit // unit), st.integers(-1, 1)
+        )
+    )
+    ms = draw(st.lists(st.one_of(near_edge, st.integers(0, limit), st.just(limit)),
+                       min_size=1, max_size=8))
+    return limit, sorted(min(max(m, 0), limit) for m in ms)
+
+
+@given(case=streamed_case())
+@settings(max_examples=60, deadline=None)
+def test_stream_matches_the_table_walk(case, stream_table):
+    # ms on row, batch and block edges, with limits on either side of them
+    limit, ms = case
+    assert _moments(_sieve_blocks(limit), ms) == totient_moments(stream_table, ms)
+
+
+@pytest.mark.parametrize("limit", [16 * BLOCK_MAX - 1, 16 * BLOCK_MAX + 1])
+def test_stream_at_the_block_cap(limit):
+    # 16 blocks of 2^20, the last full or followed by a block of two
+    # entries, against the recursion over a presieve of about 6.5 10^5
+    ms = [limit - BLOCK_MAX - 1, limit - BLOCK_MAX, limit - 1, limit]
+    assert _moments(_sieve_blocks(limit), ms) == _sublinear_moments(ms)
+
+
+def test_streamed_readers_build_no_table(monkeypatch):
+    # the error-term stream, scan and the point queries sieve in blocks and
+    # never collect a table, in-process and through the CLI
+    def refuse(limit):
+        raise RuntimeError(f"built a table to {limit}")
+
+    limits = []
+    sieve = totient._sieve_blocks
+
+    def record(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(totient, "build_totient_table", refuse)
+    monkeypatch.setattr(totient, "_sieve_blocks", record)
+    m = 2 * BLOCK_MIN + 5
+    calls = [
+        lambda: list(iter_error_terms(m, every=ROW + 1)),
+        lambda: scan_residuals(2, range(3, 3 * BLOCK_MIN, 997)),
+        lambda: (summatory_phi(m), e_phi(m), e_r(m)),
+        lambda: f_fast(GridQuery(10**7, 1)),
+        lambda: count_set(9876543, 2),
+        lambda: threshold_count(10**6),
+    ]
+    for call in calls:
+        limits.clear()
+        call()
+        assert limits, call
+    argvs = [
+        ["errterms", "--m-max", str(m), "--every", "4099"],
+        ["scan", "--q", "1", "--n-start", "2", "--n-end", str(m), "--step", "4099"],
+        ["fq", "--n", "9999991", "--q", "1"],
+        ["counts", "--n", "9876543", "--q", "2"],
+        ["threshold", "--n", "1000000"],
+    ]
+    for argv in argvs:
+        limits.clear()
+        r = CliRunner().invoke(main, [*argv, "--format", "csv"])
+        assert r.exit_code == 0, (argv, r.output)
+        assert limits, argv

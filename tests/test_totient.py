@@ -43,6 +43,15 @@ def reference_table(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return phi, np.cumsum(phi, dtype=np.int64)
 
 
+def reference_moments(phi: np.ndarray) -> list[tuple[int, int, int]]:
+    """(S_0, S_1, S_2) at every m <= len(phi) - 1, as Python-int prefix sums."""
+    moments = [(0, 0, 0)]
+    for i, v in enumerate(phi.tolist()[1:], start=1):
+        s0, s1, s2 = moments[-1]
+        moments.append((s0 + v, s1 + i * v, s2 + i * i * v))
+    return moments
+
+
 class TestSieveCrossCheck:
     """build_totient_table against the per-prime reference sieve."""
 
@@ -56,25 +65,45 @@ class TestSieveCrossCheck:
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
             assert totient_moments(t, [limit])[0][0] == ref_prefix[limit], limit
 
-    @pytest.mark.parametrize("block", [7, 64])
-    def test_small_blocks(self, monkeypatch, block):
-        # blocks are max(block, limit // 16) entries, so every limit here is
-        # split at many offsets and prime powers straddle block edges
-        monkeypatch.setattr(totient, "_SIEVE_BLOCK", block)
-        ref_phi, ref_prefix = reference_table(2000)
+    @pytest.mark.parametrize("row, rows", [(7, 4), (64, 1)], ids=["7", "64"])
+    def test_small_blocks(self, monkeypatch, row, rows):
+        # shrink the chain of sizes to rows of 7 or 64 entries and batches
+        # of 28 or 64: blocks are then 4 to 64 batches instead of 2^16 to
+        # 2^20 entries, so every limit here is split into many blocks, prime
+        # powers straddle block edges, and the walk crosses them
+        monkeypatch.setattr(totient, "_ROW", row)
+        monkeypatch.setattr(totient, "_ROWS", rows)
+        ref_phi, _ = reference_table(2000)
+        ref_moments = reference_moments(ref_phi)
         for limit in range(1, 2001):
-            t = build_totient_table(limit)
-            assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
-            assert totient_moments(t, [limit])[0][0] == ref_prefix[limit], limit
+            sieved = np.zeros(limit + 1, dtype=np.int32)
+            edges = [0]
+
+            def collect(blocks):
+                # what build_totient_table keeps, taken from the walk's own blocks
+                for lo, hi, block in blocks:
+                    assert lo == edges[-1] and lo % (row * rows) == 0, (limit, lo)
+                    sieved[lo:hi] = block
+                    edges.append(hi)
+                    yield lo, hi, block
+
+            ms = [0, limit // 3, limit // 2, limit - 1, limit]
+            moments = totient._moments(collect(totient._sieve_blocks(limit)), ms)
+            assert edges[-1] == limit + 1, limit
+            assert np.array_equal(sieved, ref_phi[: limit + 1]), limit
+            assert moments == [ref_moments[m] for m in ms], limit
 
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_block_edges(self, blocks, offset):
-        limit = blocks * totient._SIEVE_BLOCK + offset
+        # 2^16 entries, the block of every sieve up to 2^20
+        limit = blocks * totient._block_size(1) + offset
         ref_phi, ref_prefix = reference_table(limit)
         t = build_totient_table(limit)
         assert np.array_equal(t.phi, ref_phi)
         assert np.array_equal(np.cumsum(t.phi, dtype=np.int64), ref_prefix)
+        ms = [limit - 1, limit]
+        assert [s0 for s0, _, _ in totient._streamed_moments(ms)] == ref_prefix[ms].tolist()
 
     def test_full_array_at_one_million(self):
         ref_phi, ref_prefix = reference_table(10**6)
@@ -94,7 +123,7 @@ class TestSieveCrossCheck:
 
     def test_peak_memory_is_the_table(self):
         # the finished table is 4 bytes per entry; the sieve may add only
-        # block-sized temporaries (two int32 blocks of limit / 16 entries)
+        # block-sized buffers (three int32 blocks of about limit / 16 entries)
         limit = 10**6
         tracemalloc.start()
         try:
@@ -294,8 +323,9 @@ class TestStreamAgainstReference:
         i = 2**24 + 5
         t = build_totient_table(i)
         with monkeypatch.context() as patch:
-            # the stream walks this table instead of sieving a second one
-            patch.setattr(totient, "build_totient_table", lambda limit: t)
+            # the stream walks this table, as one block, instead of sieving
+            # phi a second time
+            patch.setattr(totient, "_sieve_blocks", lambda limit: [(0, t.limit + 1, t.phi)])
             ((m, phi_sum, ep, er),) = iter_error_terms(i, every=i)
         assert m == i
         assert phi_sum == int(t.phi.sum(dtype=np.int64))

@@ -12,7 +12,8 @@ so every run must give the same bytes twice.
 
 ARGVS covers the benchmark-sized calls, every subcommand on small inputs,
 the forced oracle past its cap, counts either side of m = 2^10, the
-largest m answered without a sieve, and every error path: bad and
+largest m answered without a sieve, error-term and scan rows read across
+many sieve blocks, and every error path: bad and
 out-of-range values, argvs with more than one fault (which fault is
 reported depends on the check order), usage errors, and runs under
 GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer reads, so its output
@@ -32,7 +33,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 CLI = "import sys; from gridcount.cli import main; sys.exit(main(prog_name='gridcount'))"
 FORMATS = ("table", "csv", "json-lines")
 # two runs at a time: the largest, errterms --m-max 250000 as a table,
-# holds about 200 MB
+# holds about 200 MB (a tree that holds a whole phi table for errterms to
+# 10^8 needs about 460 MB there)
 WORKERS = 2
 
 ARGVS = [
@@ -80,6 +82,10 @@ ARGVS = [
     "fq --n 1026 --q 1",
     "counts --n 2050 --q 2",
     "threshold --n 1025",
+    # rows read across many sieve blocks, up to the 2^20-entry blocks at 10^8
+    "errterms --m-max 2000000 --every 99991",
+    "scan --q 1 --n-start 1 --n-end 2000000 --step 65521",
+    "errterms --m-max 100000000 --every 10000000",
     # bad values: exit 1
     "fq --n 0 --q 1",
     "fq --n 5 --q 0",

@@ -128,7 +128,8 @@ def scan_residuals(q: int, n_values: Iterable[int]) -> list[ScanRow]:
     the main-term order.  Row order follows n_values.  Once the arguments
     are checked, phi is sieved in blocks to the largest m = (n - 1) // q
     the rows read, and all exact counts come from one forward walk of the
-    blocks as they are sieved, so no table is held.
+    blocks as they are sieved, so no table is held; each row is built as
+    its moments arrive, so no list of moments is held either.
     """
     ns = [as_int(n, "grid side n", 1) for n in n_values]
     if not ns:
@@ -137,7 +138,7 @@ def scan_residuals(q: int, n_values: Iterable[int]) -> list[ScanRow]:
         raise ValueError("n_values must be strictly increasing")
     q = GridQuery(ns[-1], q).q  # validates q and the largest n
     rows = []
-    for n, moments in zip(ns, totient._streamed_moments([(n - 1) // q for n in ns])):
+    for n, (_, moments) in zip(ns, totient._stream([(n - 1) // q for n in ns])):
         exact = f_from_moments(n, q, moments)
         main = main_term_f(n, q)
         res = exact - main

@@ -193,7 +193,7 @@ def scan_cmd(
     # the largest n and q are checked before any list of n is built
     counts.GridQuery(ns[-1], q)
     rows = asympt.scan_residuals(q, ns)
-    cells = [(r.n, r.q, r.exact, r.main, r.residual, r.normalized) for r in rows]
+    cells = ((r.n, r.q, r.exact, r.main, r.residual, r.normalized) for r in rows)
     emit(fmt, SCAN_COLUMNS, cells)
     if fit:
         slope_fit = asympt.fit_log_exponent(rows)

@@ -2,15 +2,18 @@
 evaluator, and second-order error terms.
 
 phi is sieved in consecutive blocks (_sieve_blocks), and one exact walk
-over blocks (_walk) gives S_k(m) = sum_{i<=m} i^k phi(i) for k = 0, 1, 2
-at a nondecreasing list of m in one pass.  A caller that keeps phi, the
-public TotientTable of build_totient_table, walks it as a single block
-through totient_moments.  Every other reader streams the blocks as they
-are sieved and never holds a table: the counts and the point queries use
+over blocks (_walk) yields (m, (S_0(m), S_1(m), S_2(m))), with
+S_k(m) = sum_{i<=m} i^k phi(i), for each of a nondecreasing list of m in
+one pass.  The walk folds its int64 row sums into Python ints itself, so
+every reader takes the moments as they are and none handles a row.  A
+caller that keeps phi, the public TotientTable of build_totient_table,
+walks it as a single block through totient_moments.  Every other reader
+walks the blocks as they are sieved to the largest m it reads (_stream)
+and never holds a table: the counts and the point queries use
 _sublinear_moments, the same sums at a few large m from the hyperbola
 recursion over the quotients m // d, whose small quotients come from a
-walk of a presieve of about 10 m^(2/3) entries; the error-term stream
-walks a sieve to its largest index.  The summatory function is
+walk of a presieve of about 10 m^(2/3) entries; scan and the error-term
+stream walk a sieve to their last row's m.  The summatory function is
 Phi(i) = S_0(i), and sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).
 On top of that sit two error terms used for growth diagnostics,
 
@@ -213,34 +216,32 @@ def _check_table(table: TotientTable, needed: int) -> None:
         )
 
 
-def _walk(
-    blocks: Blocks, ms: Sequence[int]
-) -> Iterator[tuple[Sequence[int], int, Moments, list[list[int]]]]:
-    """One pass over phi for the nondecreasing ms, one item per row that holds some.
+def _walk(blocks: Blocks, ms: Sequence[int]) -> Iterator[tuple[int, Moments]]:
+    """(m, (S_0(m), S_1(m), S_2(m))) for each of the nondecreasing ms, in order.
 
     blocks are (lo, hi, phi(lo..hi - 1)) for consecutive ranges from lo = 0,
     each starting at a multiple of _ROW * _ROWS: a whole table is one block,
     and _sieve_blocks yields them as it sieves.  phi is read in rows
     i = b + j, 0 <= j < _ROW, whose sums A_k = sum_j j^k phi(b + j) are
-    exact in int64.  Each item is (run, b, (S_0, S_1, S_2) over i < b,
-    [A_0, A_1, A_2] up to each m of run), and a caller folds them as
-    S_0 + A_0, S_1 + b A_0 + A_1 and S_2 + b^2 A_0 + 2 b A_1 + A_2.  Rows
-    below the next m are reduced _ROWS at a time; the row holding an m is
-    summed cumulatively.  Nothing past max(ms) is read, no block past the
-    one that holds it is asked for, and m = 0 reads nothing.  The caller
-    checks that the blocks reach max(ms) (_check_table).
+    exact in int64; the walk folds each into the Python-int moments below
+    the row as S_0 + A_0, S_1 + b A_0 + A_1 and S_2 + b^2 A_0 + 2 b A_1 + A_2,
+    so every yielded sum is exact and no caller sees a row.  Rows below the
+    next m are reduced _ROWS at a time; the row holding an m is summed
+    cumulatively.  Nothing past max(ms) is read, no block past the one that
+    holds it is asked for, and m = 0 reads nothing, nor loads numpy.  The
+    caller checks that the blocks reach max(ms) (_check_table).
     """
+    i = bisect_right(ms, 0)
+    for m in ms[:i]:
+        yield m, (0, 0, 0)
+    if i == len(ms):
+        return
     import numpy as np
 
     powers = np.arange(_ROW, dtype=np.int64)[:, None] ** np.arange(3)
     batch = _ROW * _ROWS
-    i = bisect_right(ms, 0)
-    if i:
-        yield ms[:i], 0, (0, 0, 0), [[0] * i] * 3
     s0 = s1 = s2 = 0
     done = 0  # indices below done are folded into s0, s1, s2
-    if i == len(ms):
-        return
     for lo, hi, phi in blocks:
         while True:
             b = ms[i] - ms[i] % _ROW if ms[i] < hi else hi
@@ -254,20 +255,18 @@ def _walk(
             k = bisect_left(ms, b + _ROW, i)
             row = phi[b - lo : ms[k - 1] + 1 - lo]
             prefix = np.cumsum(row * powers[: len(row)].T, axis=1)
-            yield ms[i:k], b, (s0, s1, s2), prefix[:, np.subtract(ms[i:k], b)].tolist()
+            run = ms[i:k]
+            for m, a0, a1, a2 in zip(run, *prefix[:, np.subtract(run, b)].tolist()):
+                yield m, (s0 + a0, s1 + b * a0 + a1, s2 + (b * a0 + 2 * a1) * b + a2)
             i = k
             if i == len(ms):
                 return
     raise ValueError(f"phi blocks end below m = {ms[i]}")
 
 
-def _moments(blocks: Blocks, ms: Sequence[int]) -> list[Moments]:
-    """(S_0(m), S_1(m), S_2(m)) per m from one _walk of blocks."""
-    return [
-        (s0 + a0, s1 + b * a0 + a1, s2 + (b * a0 + 2 * a1) * b + a2)
-        for _, b, (s0, s1, s2), prefix in _walk(blocks, ms)
-        for a0, a1, a2 in zip(*prefix)
-    ]
+def _stream(ms: Sequence[int]) -> Iterator[tuple[int, Moments]]:
+    """_walk of the blocks of phi sieved to max(ms) as they come: no table is held."""
+    return _walk(_sieve_blocks(max(ms[-1], 1)) if ms else (), ms)
 
 
 def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
@@ -280,12 +279,7 @@ def totient_moments(table: TotientTable, ms: Iterable[int]) -> list[Moments]:
     """
     ms = _check_ms(ms)
     _check_table(table, ms[-1] if ms else 0)
-    return _moments([(0, table.limit + 1, table.phi)], ms)
-
-
-def _streamed_moments(ms: Sequence[int]) -> list[Moments]:
-    """totient_moments at checked ms, walked as phi is sieved to max(ms): no table."""
-    return _moments(_sieve_blocks(max(ms[-1], 1)), ms) if ms else []
+    return [moments for _, moments in _walk([(0, table.limit + 1, table.phi)], ms)]
 
 
 def _check_ms(ms: Iterable[int]) -> list[int]:
@@ -364,14 +358,14 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
 
     Every m <= y, and every quotient 1 < m // d <= y of a larger m, is read
     from one walk of blocks sieved to the largest of them, at most y, with
-    no table held (_streamed_moments); S_k(1) = phi(1) = 1 is known
-    without one, so y = 1 sieves nothing and does not load numpy.  The quotients above y are then
-    filled in from the smallest up by _moments_from_below, whose every
-    argument v // e is again a quotient of the same m; one memo serves all
-    ms.  This is the hyperbola method of Deleglise and Rivat (Exp. Math. 5,
-    1996) on the identity (i^k phi) * i^k = i^(k+1).  y defaults to
-    _presieve_size(max(ms)); any y in 1..max(ms) gives the same sums.
-    Every sum is a plain Python int, so all are exact.
+    no table held (_stream); S_k(1) = phi(1) = 1 is known without one, so
+    y = 1 sieves nothing and does not load numpy.  The quotients above y
+    are then filled in from the smallest up by _moments_from_below, whose
+    every argument v // e is again a quotient of the same m; one memo
+    serves all ms.  This is the hyperbola method of Deleglise and Rivat
+    (Exp. Math. 5, 1996) on the identity (i^k phi) * i^k = i^(k+1).  y
+    defaults to _presieve_size(max(ms)); any y in 1..max(ms) gives the
+    same sums.  Every sum is a plain Python int, so all are exact.
     """
     ms = _check_ms(ms)
     x = ms[-1] if ms else 0
@@ -383,7 +377,7 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
         values.update(_quotients(m) if m > y else (m,))
     small = sorted(v for v in values if 1 < v <= y)
     memo: dict[int, Moments] = {0: (0, 0, 0), 1: (1, 1, 1)}
-    memo.update(zip(small, _streamed_moments(small)))
+    memo.update(_stream(small))
     for v in sorted(values.difference(memo)):
         memo[v] = _moments_from_below(v, memo)
     return [memo[m] for m in ms]
@@ -436,25 +430,18 @@ def iter_error_terms(
 
     The arguments are checked at the call, m_max >= 1, then the sieve
     budget, then every >= 1, before phi is sieved.  Each row reads S_0 and
-    S_1 at m from one walk of the blocks as they are sieved, so no table is
-    held and nothing past the last row is sieved; the sums are exact and
-    the floats come from the point queries' formulas, so every value
-    matches e_phi() and e_r() to the last bit.
+    S_1 at m from one walk (_stream) of the blocks as they are sieved to
+    the last row's m, not to m_max, so no table is held, nothing past the
+    last row is sieved, and an every past m_max yields no row and sieves
+    nothing.  The sums are exact and the floats come from the point
+    queries' formulas, so every value matches e_phi() and e_r() to the
+    last bit.
     """
     m_max = as_int(m_max, "m_max", 1)
     check_sieve_limit(m_max)
     every = as_int(every, "every", 1)
-    ms = range(every, m_max + 1, every)
-    return _error_term_rows(_walk(_sieve_blocks(m_max), ms))
-
-
-def _error_term_rows(
-    walk: Iterator[tuple[Sequence[int], int, Moments, list[list[int]]]],
-) -> Iterator[tuple[int, int, float, float]]:
-    # Phi(m) = S_0(m) and sum_{j<=m} Phi(j) = (m + 1) S_0(m) - S_1(m); only
-    # the two moments the rows need are folded, as in totient_moments
-    for run, b, (s0, s1, _), (c0, c1, _) in walk:
-        for m, a0, a1 in zip(run, c0, c1):
-            phi_sum = s0 + a0
-            second = (m + 1) * phi_sum - s1 - b * a0 - a1
-            yield m, phi_sum, _e_phi_from_sum(phi_sum, m), _e_r_from_prefix(second, m)
+    # Phi(m) = S_0(m) and sum_{j<=m} Phi(j) = (m + 1) S_0(m) - S_1(m)
+    return (
+        (m, s0, _e_phi_from_sum(s0, m), _e_r_from_prefix((m + 1) * s0 - s1, m))
+        for m, (s0, s1, _) in _stream(range(every, m_max + 1, every))
+    )

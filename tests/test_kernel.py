@@ -32,10 +32,11 @@ from gridcount.cli import main
 from gridcount.counts import _at_least, _exactly, _half_exact
 from gridcount.totient import (
     _block_size,
-    _moments,
     _presieve_size,
     _sieve_blocks,
+    _stream,
     _sublinear_moments,
+    _walk,
 )
 
 ROW = 1 << 11
@@ -384,7 +385,8 @@ def streamed_case(draw):
 def test_stream_matches_the_table_walk(case, stream_table):
     # ms on row, batch and block edges, with limits on either side of them
     limit, ms = case
-    assert _moments(_sieve_blocks(limit), ms) == totient_moments(stream_table, ms)
+    walked = _walk(_sieve_blocks(limit), ms)
+    assert list(walked) == list(zip(ms, totient_moments(stream_table, ms)))
 
 
 @pytest.mark.parametrize("limit", [16 * BLOCK_MAX - 1, 16 * BLOCK_MAX + 1])
@@ -392,7 +394,7 @@ def test_stream_at_the_block_cap(limit):
     # 16 blocks of 2^20, the last full or followed by a block of two
     # entries, against the recursion over a presieve of about 6.5 10^5
     ms = [limit - BLOCK_MAX - 1, limit - BLOCK_MAX, limit - 1, limit]
-    assert _moments(_sieve_blocks(limit), ms) == _sublinear_moments(ms)
+    assert list(_stream(ms)) == list(zip(ms, _sublinear_moments(ms)))
 
 
 def test_streamed_readers_build_no_table(monkeypatch):

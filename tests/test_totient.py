@@ -88,10 +88,10 @@ class TestSieveCrossCheck:
                     yield lo, hi, block
 
             ms = [0, limit // 3, limit // 2, limit - 1, limit]
-            moments = totient._moments(collect(totient._sieve_blocks(limit)), ms)
+            walked = list(totient._walk(collect(totient._sieve_blocks(limit)), ms))
             assert edges[-1] == limit + 1, limit
             assert np.array_equal(sieved, ref_phi[: limit + 1]), limit
-            assert moments == [ref_moments[m] for m in ms], limit
+            assert walked == [(m, ref_moments[m]) for m in ms], limit
 
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -103,7 +103,7 @@ class TestSieveCrossCheck:
         assert np.array_equal(t.phi, ref_phi)
         assert np.array_equal(np.cumsum(t.phi, dtype=np.int64), ref_prefix)
         ms = [limit - 1, limit]
-        assert [s0 for s0, _, _ in totient._streamed_moments(ms)] == ref_prefix[ms].tolist()
+        assert [s0 for _, (s0, _, _) in totient._stream(ms)] == ref_prefix[ms].tolist()
 
     def test_full_array_at_one_million(self):
         ref_phi, ref_prefix = reference_table(10**6)
@@ -264,6 +264,22 @@ class TestIterErrorTerms:
     def test_every(self):
         rows = list(iter_error_terms(50, every=10))
         assert [r[0] for r in rows] == [10, 20, 30, 40, 50]
+
+    def test_sieves_to_the_last_row(self, monkeypatch):
+        # to the last row's m, not to m_max; with no row it never sieves
+        limits = []
+        sieve = totient._sieve_blocks
+
+        def record(limit):
+            limits.append(limit)
+            return sieve(limit)
+
+        monkeypatch.setattr(totient, "_sieve_blocks", record)
+        assert [r[0] for r in iter_error_terms(100, every=30)] == [30, 60, 90]
+        assert limits == [90]
+        limits.clear()
+        assert list(iter_error_terms(10, every=20)) == []
+        assert limits == []
 
     def test_bad_args(self):
         with pytest.raises(ValueError, match="m_max must be >= 1, got 0"):

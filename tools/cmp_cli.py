@@ -13,11 +13,12 @@ so every run must give the same bytes twice.
 ARGVS covers the benchmark-sized calls, every subcommand on small inputs,
 the forced oracle past its cap, counts either side of m = 2^10, the
 largest m answered without a sieve, error-term and scan rows read across
-many sieve blocks, and every error path: bad and
-out-of-range values, argvs with more than one fault (which fault is
-reported depends on the check order), usage errors, and runs under
-GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer reads, so its output
-must not change.  A leading ``NAME=value`` sets that variable.
+many sieve blocks, a scan of 2 10^5 consecutive rows, an error-term
+stream with no row, and every error path: bad and out-of-range values,
+argvs with more than one fault (which fault is reported depends on the
+check order), usage errors, and runs under GRIDCOUNT_SIEVE_LIMIT, which
+gridcount no longer reads, so its output must not change.  A leading
+``NAME=value`` sets that variable.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 CLI = "import sys; from gridcount.cli import main; sys.exit(main(prog_name='gridcount'))"
 FORMATS = ("table", "csv", "json-lines")
-# two runs at a time: the largest, errterms --m-max 250000 as a table,
-# holds about 200 MB (a tree that holds a whole phi table for errterms to
-# 10^8 needs about 460 MB there)
+# two runs at a time: the largest, the 2 10^5-row scan as a table, holds
+# about 255 MB (a tree that holds a whole phi table for errterms to 10^8
+# needs about 460 MB there)
 WORKERS = 2
 
 ARGVS = [
@@ -86,6 +87,9 @@ ARGVS = [
     "errterms --m-max 2000000 --every 99991",
     "scan --q 1 --n-start 1 --n-end 2000000 --step 65521",
     "errterms --m-max 100000000 --every 10000000",
+    # a 2 10^5-row scan, every row one walked m; an every past m_max: no row
+    "scan --q 1 --n-start 1 --n-end 200000",
+    "errterms --m-max 10 --every 20",
     # bad values: exit 1
     "fq --n 0 --q 1",
     "fq --n 5 --q 0",

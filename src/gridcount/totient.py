@@ -36,7 +36,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError, as_int
@@ -52,9 +51,9 @@ PI_SQUARED = math.pi**2
 #: moment index, though it sieves only to about 10 m^(2/3).
 SIEVE_LIMIT = 10**8
 
-# Emitted floats are compared across runs, so the doubled constant is built
-# once; Fraction(float) is exact, keeping e_r rounding to a single step.
-_TWO_PI_SQUARED = Fraction(2.0 * PI_SQUARED)
+# Emitted floats are compared across runs, so the float 2 pi^2 is taken
+# once, as its integer ratio M / D, which is exact; see _e_r_from_prefix.
+_TWO_PI_SQUARED_RATIO = (2.0 * PI_SQUARED).as_integer_ratio()
 
 # The walk splits indices as i = b + j with 0 <= j < _ROW.  For i <=
 # SIEVE_LIMIT < 2^27, phi(i) < 2^27 and j^2 < 2^22, so each of a row's
@@ -406,12 +405,13 @@ def _e_phi_from_sum(phi_sum: int, i: int) -> float:
 
 
 def _e_r_from_prefix(second_prefix: int, i: int) -> float:
-    # e_r(i) = sum_{j<=i} Phi(j) - (6*sum_{j<=i} j^2 + 3 i^2) / (2 pi^2);
-    # everything left of the division is exact, so the only rounding is the
-    # final conversion to float.
+    # e_r(i) = sum_{j<=i} Phi(j) - w / (2 pi^2), w = 6*sum_{j<=i} j^2 + 3 i^2;
+    # with 2 pi^2 = M / D that is (sum_{j<=i} Phi(j) M - w D) / M, an int /
+    # int division, which is correctly rounded and so the only rounding.
     sum_sq = i * (i + 1) * (2 * i + 1) // 6
     w = 6 * sum_sq + 3 * i * i
-    return float(second_prefix - Fraction(w) / _TWO_PI_SQUARED)
+    m, d = _TWO_PI_SQUARED_RATIO
+    return (second_prefix * m - w * d) / m
 
 
 def e_r(i: int) -> float:

@@ -1,6 +1,6 @@
 """What importing gridcount loads: numpy only when a sieve, walk or fit runs,
-and every module the benchmark's span tracer patches, with its attributes;
-and what it exports.
+never fractions or decimal, and every module the benchmark's span tracer
+patches, with its attributes; and what it exports.
 
 Each load check runs in a fresh interpreter, since this one has numpy
 loaded already.
@@ -46,6 +46,16 @@ def loads_numpy(argv: list[str]) -> bool:
 def test_import_leaves_numpy_out():
     code = "import sys, gridcount, gridcount.cli; print('numpy' in sys.modules)"
     assert fresh(code) == "False\n"
+
+
+def test_cli_import_leaves_exact_rationals_out():
+    # e_r rounds once through an int / int division, so no float needs
+    # fractions or decimal
+    code = (
+        "import sys, gridcount.cli\n"
+        "print(sorted({'fractions', 'decimal'} & set(sys.modules)))\n"
+    )
+    assert fresh(code) == "[]\n"
 
 
 @pytest.mark.parametrize(

@@ -7,6 +7,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gridcount import totient
 from gridcount import (
@@ -220,16 +222,32 @@ class TestErrorTerms:
         assert e_r(2) == pytest.approx(3 - 21 / PI_SQUARED, rel=1e-12)
         assert e_r(5) == pytest.approx(23 - 202.5 / PI_SQUARED, rel=1e-12)
 
-    def test_e_r_single_rounding(self, table10k):
-        # reference value with the whole correction kept rational; Phi(j) is
-        # a plain cumsum of the sieve, no moment walk
-        two_pi2 = Fraction(2.0 * PI_SQUARED)
+    @staticmethod
+    def e_r_by_fraction(second: int, i: int) -> float:
+        """e_r from sum_{j<=i} Phi(j), with the whole correction kept rational."""
+        w = 6 * (i * (i + 1) * (2 * i + 1) // 6) + 3 * i * i
+        return float(Fraction(second) - Fraction(w) / Fraction(2.0 * PI_SQUARED))
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_e_r_single_rounding(self, data):
+        i = data.draw(st.integers(1, 10**8), label="i")
+        second = data.draw(st.integers(0, i**3), label="second")
+        assert totient._e_r_from_prefix(second, i) == self.e_r_by_fraction(second, i)
+
+    def test_e_r_exact_points(self, table10k):
+        # Phi(j) is a plain cumsum of the sieve, no moment walk
         big_phi = np.cumsum(table10k.phi, dtype=np.int64).tolist()
         for i in (3, 17, 100, 999, 10**4):
-            s = sum(big_phi[1 : i + 1])
-            w = 6 * (i * (i + 1) * (2 * i + 1) // 6) + 3 * i * i
-            expected = float(Fraction(s) - Fraction(w) / two_pi2)
-            assert e_r(i) == expected
+            assert e_r(i) == self.e_r_by_fraction(sum(big_phi[1 : i + 1]), i)
+
+    def test_e_r_at_the_sieve_limit(self):
+        # Phi(10^8) = 3039635516365908 is OEIS A064018; the prefix sum of
+        # Phi is pinned from the moment recursion, which the tests above
+        # check against the sieve at smaller i
+        i = 10**8
+        assert summatory_phi(i) == 3039635516365908
+        assert e_r(i) == self.e_r_by_fraction(101321186681952744908295, i)
 
     def test_e_r_agrees_with_float_path(self):
         # naive accumulation of e_phi floats stays within 1e-6 of the exact path

@@ -10,15 +10,16 @@ reported.  Exits 0 when every run agrees, 1 otherwise.  Standard library
 only.  ``python3 tools/cmp_cli.py src`` compares the checkout with itself,
 so every run must give the same bytes twice.
 
-ARGVS covers the benchmark-sized calls, every subcommand on small inputs,
-the forced oracle past its cap, counts either side of m = 2^10, the
-largest m answered without a sieve, error-term and scan rows read across
-many sieve blocks, a scan of 2 10^5 consecutive rows, an error-term
-stream with no row, and every error path: bad and out-of-range values,
-argvs with more than one fault (which fault is reported depends on the
-check order), usage errors, and runs under GRIDCOUNT_SIEVE_LIMIT, which
-gridcount no longer reads, so its output must not change.  A leading
-``NAME=value`` sets that variable.
+ARGVS covers the benchmark-sized calls, every subcommand on small
+inputs, the forced oracle past its cap, counts either side of m = 2^10,
+the largest m answered without a sieve, error-term and scan rows read
+across many sieve blocks, every error-term row to just below and just
+past the end of the first 2^16-entry block, a scan of 2 10^5 consecutive
+rows, an error-term stream with no row, and every error path: bad and
+out-of-range values, argvs with more than one fault (which fault is
+reported depends on the check order), usage errors, and runs under
+GRIDCOUNT_SIEVE_LIMIT, which gridcount no longer reads, so its output
+must not change.  A leading ``NAME=value`` sets that variable.
 """
 
 from __future__ import annotations
@@ -87,6 +88,9 @@ ARGVS = [
     "errterms --m-max 2000000 --every 99991",
     "scan --q 1 --n-start 1 --n-end 2000000 --step 65521",
     "errterms --m-max 100000000 --every 10000000",
+    # every row to just below and just past the first 2^16-entry block's end
+    "errterms --m-max 65535",
+    "errterms --m-max 65537",
     # a 2 10^5-row scan, every row one walked m; an every past m_max: no row
     "scan --q 1 --n-start 1 --n-end 200000",
     "errterms --m-max 10 --every 20",

@@ -17,7 +17,8 @@ TypeError.
 
 Every module is imported eagerly, but numpy is imported only by the
 totient sieve, the moment walk and the residual fit, when they run: the
-oracles, and importing the package, never load it.
+oracles, the counts and importing the package never load it, since the
+counts' presieve is sieved in pure Python.
 """
 
 from .asympt import (

@@ -18,11 +18,10 @@ difference never matches any q >= 1.
 
 Every fast count reads the exact weighted totient moments
 S_k(m) = sum_{i<=m} i^k phi(i), k = 0, 1, 2, at its few m, from the
-totient module's sublinear evaluator.  Up to m = 2^10 its recursion
-alone answers, so no sieve is built and numpy is not loaded; up to
-m = 2^18 it sieves to m and walks the sieve; above, it works from a
-presieve of about 10 m^(2/3) entries, so a point query at n = 10^7 never
-sieves to 10^7.  A caller that keeps its own sieve gets the same f from
+totient module's sublinear evaluator.  It works from a pure-Python
+presieve of about m^(2/3) entries, at most 46,416 for every accepted n,
+so a point query at n = 10^7 never sieves to 10^7 and no count loads
+numpy.  A caller that keeps its own sieve gets the same f from
 f_from_moments over a totient_moments walk of it.  Only decompose_lemma, the independent
 reference the kernel is checked against, reads phi itself.
 """
@@ -36,7 +35,7 @@ from .errors import ResourceLimitError, as_int
 from .totient import Moments, TotientTable, _check_table, _sublinear_moments
 
 #: Largest accepted grid side.  The counts sieve only a presieve, at most
-#: 464,160 entries at this n, and scan streams phi to (n - 1) // q in
+#: 46,416 entries at this n, and scan streams phi to (n - 1) // q in
 #: blocks of at most 2^20 entries, holding no table, so the cap bounds
 #: scan's time and its list of rows (ROADMAP item 8), and keeps every n
 #: inside the range the tests check.  ROADMAP item 9 lifts it.

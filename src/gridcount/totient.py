@@ -12,9 +12,11 @@ walks the blocks as they are sieved to the largest m it reads (_stream)
 and never holds a table: the counts and the point queries use
 _sublinear_moments, the same sums at a few large m from the hyperbola
 recursion over the quotients m // d, whose small quotients come from a
-walk of a presieve of about 10 m^(2/3) entries; scan and the error-term
-stream walk a sieve to their last row's m.  The summatory function is
-Phi(i) = S_0(i), and sum_{j<=i} Phi(j) equals (i + 1) S_0(i) - S_1(i).
+presieve: up to m = 2^24 a pure-Python one of about m^(2/3) entries
+(_pure_stream), above that a walk of about 10 m^(2/3); scan and the
+error-term stream walk a sieve to their last row's m.  The summatory
+function is Phi(i) = S_0(i), and sum_{j<=i} Phi(j) equals
+(i + 1) S_0(i) - S_1(i).
 On top of that sit two error terms used for growth diagnostics,
 
     e_phi(i) = Phi(i) - 3 i^2 / pi^2
@@ -26,9 +28,8 @@ the error-term stream to 10^8 holds 12 MB of them instead of a 400 MB
 table.  The walk is exact for every index up to SIEVE_LIMIT, the one cap
 on the sieve and on every moment index.  numpy is imported only inside
 the sieve (_sieve_blocks and its _primes_upto) and the walk, so importing
-this module, or a command that never sieves, does not load it; a point
-query or count whose largest m is at most 2^10 is answered by the
-recursion alone and never sieves.
+this module does not load it, nor does a point query or count whose
+largest m is at most 2^24, which covers every grid query.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate, compress, count
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import ResourceLimitError, as_int
@@ -48,7 +51,7 @@ PI_SQUARED = math.pi**2
 #: Largest sieve limit, and so the largest index a table walk reads
 #: (totient_moments, the error-term stream).  The sublinear evaluator
 #: behind the counts and the point queries keeps the same cap on its
-#: moment index, though it sieves only to about 10 m^(2/3).
+#: moment index, though it sieves only its presieve (_presieve_size).
 SIEVE_LIMIT = 10**8
 
 # Emitted floats are compared across runs, so the float 2 pi^2 is taken
@@ -65,10 +68,9 @@ _TWO_PI_SQUARED_RATIO = (2.0 * PI_SQUARED).as_integer_ratio()
 _ROW = 1 << 11
 _ROWS = 8
 
-# Largest m that _sublinear_moments answers by its recursion alone, and
-# its smallest presieve above that; see _presieve_size.
-_RECURSION_ONLY_MAX = 1 << 10
-_PRESIEVE_MIN = 1 << 18
+# Largest m whose presieve _sublinear_moments sieves in pure Python, with
+# no numpy (_pure_stream); see _presieve_size.
+_PURE_PRESIEVE_MAX = 1 << 24
 
 Moments = tuple[int, int, int]
 # (lo, hi, phi(lo..hi - 1)) for consecutive ranges from lo = 0; see _walk
@@ -292,30 +294,64 @@ def _check_ms(ms: Iterable[int]) -> list[int]:
 def _presieve_size(x: int) -> int:
     """The table size y that _sublinear_moments sieves for a largest m of x.
 
-    y = min(x, 1) up to 2^10, so nothing is sieved and numpy is not
-    loaded; then y = x up to 2^18, then max(2^18, 10 x^(2/3)).  Timed
-    in-process on a 2-core x86-64 VM (Python 3.11, numpy already loaded,
-    medians of 15 calls with one m), the recursion alone against a sieve
-    to x and its walk:
+    y = min(x, x^(2/3)), rounded, up to x = _PURE_PRESIEVE_MAX = 2^24,
+    sieved in pure Python (_pure_stream); above, 10 x^(2/3), sieved and
+    walked with numpy (_stream).  Either way the recursion costs about
+    4 x / sqrt(y) Python loop steps, and the best y was c x^(2/3) with
+    c = 1 for the pure sieve (about 0.6 us per entry; c = 0.7 to 1.5 was
+    within 15 % of it at 10^7 and 2^24) and c = 10 for numpy (a few ns
+    per entry; within 10 % over a factor of two either side from 3 10^6
+    to 10^8).  The switch is set by fresh processes, since importing
+    numpy costs 60 to 70 ms and 13 MB: timed on a 2-core x86-64 VM
+    (Python 3.11, numpy 2.4), from interpreter start to the moments at
+    x // 3, x // 2, x - 1 and x, medians of 9 to 15 alternating pairs,
+    with each process's peak RSS (VmHWM):
 
-        x            24     100     256     512    1024    3000   10^4
-        recursion  0.03    0.08    0.17    0.26    0.42    0.94   2.2 ms
-        sieve      0.15    0.20    0.24    0.29    0.36    0.48   0.67 ms
+        x         10^5   10^6   10^7  1.2e7  1.5e7   2^24   2e7   10^8
+        pure     0.029  0.074  0.151  0.175  0.222  0.192  0.257  0.621 s
+        numpy    0.096  0.163  0.160  0.169  0.208  0.180  0.196  0.313 s
+        pure      15.6   16.1   19.1   19.6   20.0   20.4   21.1   31.7 MB
+        numpy     28.5   29.4   31.3   31.4   31.6   31.8   32.0   37.4 MB
 
-    so they break even near 2^9, and at 2^10 the recursion costs under
-    0.1 ms more, while a process that has not loaded numpy saves its
-    import, about 0.07 to 0.1 s.
-    Above 2^10 the numpy sieve and walk cost a few ns per entry and the
-    Python recursion about 4 x / sqrt(y) loop steps, so the best y grows
-    like x^(2/3).  Timed on the same VM (three m per call), the best y was
-    about 10 x^(2/3) from x = 3 10^6 to 10^8 (0.07 s at 10^7 - 10, 0.29 s
-    at 10^8, against 0.32 s and 5.8 s with y = x), and within 10 % of the
-    best over a factor of two either side.  Up to x = 2^18 a full sieve
-    costs under 10 ms, so the recursion is not worth its setup there.
+    so the two break even near 1.2 10^7, and up to 2^24, past every grid
+    query's m < 10^7, the pure sieve costs at most about 7 % more time and
+    holds 11 MB less.  In a process that has loaded numpy already, the
+    numpy presieve is faster: 0.07 against 0.15 s at 2^24.
     """
-    if x <= _RECURSION_ONLY_MAX:
-        return min(x, 1)
-    return min(x, max(_PRESIEVE_MIN, 10 * round(x ** (2 / 3))))
+    if x <= _PURE_PRESIEVE_MAX:
+        return min(x, round(x ** (2 / 3)))
+    return 10 * round(x ** (2 / 3))
+
+
+def _phi_list(limit: int) -> list[int]:
+    """phi(0..limit) as a list of ints, phi(0) = 0, by a pure-Python sieve.
+
+    Each prime p, found as an entry still equal to its index, takes
+    phi(k) - phi(k) // p at every multiple k of p, one slice at a time.
+    """
+    phi = list(range(limit + 1))
+    for p in range(2, limit + 1):
+        if phi[p] == p:
+            phi[p::p] = [v - v // p for v in phi[p::p]]
+    return phi
+
+
+def _pure_stream(ms: Sequence[int]) -> Iterator[tuple[int, Moments]]:
+    """(m, (S_0(m), S_1(m), S_2(m))) for the increasing ms, as _stream gives
+    them, from _phi_list(max(ms)) and with no numpy.  The three prefix sums
+    run side by side and only those at the ms are kept, so nothing but phi
+    is held; an empty ms sieves nothing.
+    """
+    if not ms:
+        return
+    phi = _phi_list(ms[-1])
+    wanted = bytearray(len(phi))
+    for m in ms:
+        wanted[m] = 1
+    s0 = accumulate(phi)
+    s1 = accumulate(map(mul, phi, count()))
+    s2 = accumulate(map(mul, map(mul, phi, count()), count()))
+    yield from zip(ms, zip(*(compress(s, wanted) for s in (s0, s1, s2))))
 
 
 def _quotients(m: int) -> set[int]:
@@ -356,15 +392,17 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
     """(S_0(m), S_1(m), S_2(m)) per m, as totient_moments, without a table to max(ms).
 
     Every m <= y, and every quotient 1 < m // d <= y of a larger m, is read
-    from one walk of blocks sieved to the largest of them, at most y, with
-    no table held (_stream); S_k(1) = phi(1) = 1 is known without one, so
-    y = 1 sieves nothing and does not load numpy.  The quotients above y
-    are then filled in from the smallest up by _moments_from_below, whose
-    every argument v // e is again a quotient of the same m; one memo
-    serves all ms.  This is the hyperbola method of Deleglise and Rivat
-    (Exp. Math. 5, 1996) on the identity (i^k phi) * i^k = i^(k+1).  y
-    defaults to _presieve_size(max(ms)); any y in 1..max(ms) gives the
-    same sums.  Every sum is a plain Python int, so all are exact.
+    from one presieve to the largest of them, at most y: a pure-Python one
+    (_pure_stream) up to max(ms) = _PURE_PRESIEVE_MAX, which loads no numpy,
+    and a walk of blocks above it (_stream); neither holds a table, and
+    S_k(1) = phi(1) = 1 is known without one, so y = 1 sieves nothing.
+    The quotients above y are then filled in from the smallest up by
+    _moments_from_below, whose every argument v // e is again a quotient
+    of the same m; one memo serves all ms.  This is the hyperbola method
+    of Deleglise and Rivat (Exp. Math. 5, 1996) on the identity
+    (i^k phi) * i^k = i^(k+1).  y defaults to _presieve_size(max(ms)); any
+    y in 1..max(ms) gives the same sums.  Every sum is a plain Python int,
+    so all are exact.
     """
     ms = _check_ms(ms)
     x = ms[-1] if ms else 0
@@ -376,7 +414,7 @@ def _sublinear_moments(ms: Iterable[int], y: int | None = None) -> list[Moments]
         values.update(_quotients(m) if m > y else (m,))
     small = sorted(v for v in values if 1 < v <= y)
     memo: dict[int, Moments] = {0: (0, 0, 0), 1: (1, 1, 1)}
-    memo.update(_stream(small))
+    memo.update((_pure_stream if x <= _PURE_PRESIEVE_MAX else _stream)(small))
     for v in sorted(values.difference(memo)):
         memo[v] = _moments_from_below(v, memo)
     return [memo[m] for m in ms]

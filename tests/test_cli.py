@@ -251,6 +251,7 @@ class TestErrorContract:
     def test_grid_cap_checked_before_sieving(self, runner, monkeypatch, args):
         sieved = []
         monkeypatch.setattr(totient, "_sieve_blocks", sieved.append)
+        monkeypatch.setattr(totient, "_phi_list", sieved.append)
         r = run(runner, *args)
         assert sieved == []
         assert r.exit_code == 1

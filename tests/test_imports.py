@@ -1,6 +1,7 @@
-"""What importing gridcount loads: numpy only when a sieve, walk or fit runs,
-never fractions or decimal, and every module the benchmark's span tracer
-patches, with its attributes; and what it exports.
+"""What importing gridcount loads: numpy only when a numpy sieve, walk or fit
+runs, so never for a grid point query, never fractions or decimal, and every
+module the benchmark's span tracer patches, with its attributes; and what it
+exports.
 
 Each load check runs in a fresh interpreter, since this one has numpy
 loaded already.
@@ -62,16 +63,26 @@ def test_cli_import_leaves_exact_rationals_out():
     "argv, numpy",
     [
         (["oracle", "--n", "4", "--threshold"], False),
-        # every m <= 2^10 comes from the recursion alone, with no sieve
+        # every grid query's presieve, m < 10^7 <= 2^24, is sieved in pure Python
         (["fq", "--n", "10", "--q", "1"], False),
         (["counts", "--n", "25", "--q", "7"], False),
         (["threshold", "--n", "4"], False),
-        (["fq", "--n", "1026", "--q", "1"], True),  # m = 1025
-        (["fq", "--n", "10000000", "--q", "1"], True),
+        (["fq", "--n", "1026", "--q", "1"], False),  # m = 1025
+        (["fq", "--n", "10000000", "--q", "1"], False),
     ],
 )
 def test_numpy_loaded_only_by_commands_that_sieve(argv, numpy):
     assert loads_numpy(argv) is numpy
+
+
+def test_point_query_past_2_to_the_24_sieves_with_numpy():
+    code = (
+        "import sys, gridcount\n"
+        "for i in (2**24, 2**24 + 1):\n"
+        "    gridcount.summatory_phi(i)\n"
+        "    print('numpy' in sys.modules)\n"
+    )
+    assert fresh(code) == "False\nTrue\n"
 
 
 def test_cli_import_loads_every_traced_module():

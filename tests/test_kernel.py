@@ -49,6 +49,23 @@ def naive_moments(phi, m):
     return tuple(sum(i**k * values[i] for i in range(1, m + 1)) for k in range(3))
 
 
+def watch_sieves(monkeypatch, refuse=False):
+    """Make both sieves, numpy's _sieve_blocks and the pure-Python _phi_list,
+    append each limit they are asked for to the returned list, then sieve,
+    or raise RuntimeError instead if refuse."""
+    limits = []
+    for name in ("_sieve_blocks", "_phi_list"):
+
+        def watched(limit, sieve=getattr(totient, name)):
+            limits.append(limit)
+            if refuse:
+                raise RuntimeError(f"sieved to {limit}")
+            return sieve(limit)
+
+        monkeypatch.setattr(totient, name, watched)
+    return limits
+
+
 class ExplodingPhi:
     def __getitem__(self, key):
         raise LookupError("table read")
@@ -173,13 +190,7 @@ def test_index_guard_raises_before_reading_the_table():
 
 @pytest.mark.parametrize("fn", [summatory_phi, e_phi, e_r])
 def test_point_queries_raise_at_the_index_limit_before_reading(fn, monkeypatch):
-    limits = []
-
-    def refuse(limit):
-        limits.append(limit)
-        raise RuntimeError(f"sieved to {limit}")
-
-    monkeypatch.setattr(totient, "_sieve_blocks", refuse)
+    limits = watch_sieves(monkeypatch, refuse=True)
     with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
         fn(SIEVE_LIMIT + 1)
     assert limits == []
@@ -224,14 +235,13 @@ def test_invariant_checks_raise():
         _exactly(5, 2, 10, 12, 4)
 
 
-# The presieve rule's breakpoints: y = 1 (no sieve) up to 2^10, y = x up
-# to 2^18, then y = 2^18 up to PRESIEVE_KNEE, then about 10 x^(2/3).
-RECURSION_ONLY_MAX = 1 << 10
-PRESIEVE_MIN = 1 << 18
+# The presieve rule: y = min(x, x^(2/3)) up to PURE_PRESIEVE_MAX, sieved in
+# pure Python, then 10 x^(2/3), sieved with numpy.  The fixed points sit
+# at the rule's old switches (a sieve to x up to 2^18, then a presieve of
+# 2^18 up to PRESIEVE_KNEE) and at the top of the grid.
+PURE_PRESIEVE_MAX = 1 << 24
 PRESIEVE_KNEE = 4_244_361
-SUBLINEAR_XS = [
-    PRESIEVE_MIN, PRESIEVE_MIN + 1, PRESIEVE_KNEE, PRESIEVE_KNEE + 1, 10**7 - 1
-]
+SUBLINEAR_XS = [1 << 18, (1 << 18) + 1, PRESIEVE_KNEE, PRESIEVE_KNEE + 1, 10**7 - 1]
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +263,7 @@ def ms_and_presieve(draw):
 @given(case=ms_and_presieve())
 @settings(max_examples=150, deadline=None)
 def test_sublinear_matches_the_walk_for_any_presieve(case, table_2e5):
+    # max(ms) <= 2^24, so the presieve, of any size, is the pure-Python one
     ms, y = case
     assert _sublinear_moments(ms, y) == totient_moments(table_2e5, ms)
 
@@ -260,24 +271,19 @@ def test_sublinear_matches_the_walk_for_any_presieve(case, table_2e5):
 @given(ms=st.lists(st.integers(0, 2 * 10**5), min_size=1, max_size=6).map(sorted))
 @settings(max_examples=100, deadline=None)
 def test_recursion_alone_needs_no_sieve(ms, table_2e5):
-    # y = 1: every quotient above 1 comes from the recursion, none from a table
-    def refuse(limit):
-        raise RuntimeError(f"sieved to {limit}")
-
+    # y = 1: every quotient above 1 comes from the recursion, none from a sieve
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(totient, "_sieve_blocks", refuse)
+        watch_sieves(mp, refuse=True)
         got = _sublinear_moments(ms, 1)
     assert got == totient_moments(table_2e5, ms)
 
 
 def test_presieve_rule_breakpoints():
-    assert [_presieve_size(x) for x in (0, 1, PRESIEVE_MIN)] == [0, 1, PRESIEVE_MIN]
-    assert _presieve_size(RECURSION_ONLY_MAX) == 1
-    assert _presieve_size(RECURSION_ONLY_MAX + 1) == RECURSION_ONLY_MAX + 1
-    assert _presieve_size(PRESIEVE_MIN + 1) == PRESIEVE_MIN
-    assert _presieve_size(PRESIEVE_KNEE) == PRESIEVE_MIN
-    assert _presieve_size(PRESIEVE_KNEE + 1) > PRESIEVE_MIN
-    assert _presieve_size(10**7 - 1) < 10**6
+    assert [_presieve_size(x) for x in (0, 1, 2, 8, 24, 1000)] == [0, 1, 2, 4, 8, 100]
+    assert _presieve_size(10**7 - 1) == 46_416
+    assert _presieve_size(PURE_PRESIEVE_MAX) == 1 << 16
+    assert _presieve_size(PURE_PRESIEVE_MAX + 1) == 10 << 16
+    assert _presieve_size(SIEVE_LIMIT) == 2_154_430
 
 
 @pytest.mark.parametrize("x", SUBLINEAR_XS)
@@ -308,10 +314,7 @@ def test_counts_agree_with_and_without_a_table(n, table_1e7):
 
 
 def test_sublinear_raises_past_the_index_limit_before_sieving(monkeypatch):
-    def refuse(limit):
-        raise RuntimeError(f"sieved to {limit}")
-
-    monkeypatch.setattr(totient, "_sieve_blocks", refuse)
+    watch_sieves(monkeypatch, refuse=True)
     with pytest.raises(ResourceLimitError, match="exceeds the sieve limit"):
         _sublinear_moments([5, SIEVE_LIMIT + 1])
     with pytest.raises(ValueError, match="nondecreasing"):
@@ -324,14 +327,7 @@ def test_sublinear_raises_past_the_index_limit_before_sieving(monkeypatch):
     "args", [("fq", "--n", "9999991", "--q", "1"), ("counts", "--n", "9876543", "--q", "2")]
 )
 def test_point_queries_sieve_no_more_than_the_presieve(monkeypatch, args):
-    limits = []
-    sieve = totient._sieve_blocks
-
-    def record(limit):
-        limits.append(limit)
-        return sieve(limit)
-
-    monkeypatch.setattr(totient, "_sieve_blocks", record)
+    limits = watch_sieves(monkeypatch)
     r = CliRunner().invoke(main, [*args, "--format", "csv"])
     assert r.exit_code == 0
     assert limits and max(limits) <= _presieve_size(int(args[2]) - 1)
@@ -392,26 +388,24 @@ def test_stream_matches_the_table_walk(case, stream_table):
 @pytest.mark.parametrize("limit", [16 * BLOCK_MAX - 1, 16 * BLOCK_MAX + 1])
 def test_stream_at_the_block_cap(limit):
     # 16 blocks of 2^20, the last full or followed by a block of two
-    # entries, against the recursion over a presieve of about 6.5 10^5
+    # entries, against the recursion with and without the last m.  Its
+    # largest m is then 2^24 - 1 or 2^24 - 2, and 2^24 + 1 or 2^24, either
+    # side of PURE_PRESIEVE_MAX = 2^24 = 16 * 2^20: the presieve is the
+    # pure-Python one of 2^16 entries, except numpy's of 10 2^16 past it.
     ms = [limit - BLOCK_MAX - 1, limit - BLOCK_MAX, limit - 1, limit]
-    assert list(_stream(ms)) == list(zip(ms, _sublinear_moments(ms)))
+    streamed = list(_stream(ms))
+    assert streamed == list(zip(ms, _sublinear_moments(ms)))
+    assert streamed[:3] == list(zip(ms[:3], _sublinear_moments(ms[:3])))
 
 
 def test_streamed_readers_build_no_table(monkeypatch):
-    # the error-term stream, scan and the point queries sieve in blocks and
-    # never collect a table, in-process and through the CLI
+    # the error-term stream and scan sieve in blocks, and the point queries
+    # sieve their presieve; none collects a table, in-process or through the CLI
     def refuse(limit):
         raise RuntimeError(f"built a table to {limit}")
 
-    limits = []
-    sieve = totient._sieve_blocks
-
-    def record(limit):
-        limits.append(limit)
-        return sieve(limit)
-
     monkeypatch.setattr(totient, "build_totient_table", refuse)
-    monkeypatch.setattr(totient, "_sieve_blocks", record)
+    limits = watch_sieves(monkeypatch)
     m = 2 * BLOCK_MIN + 5
     calls = [
         lambda: list(iter_error_terms(m, every=ROW + 1)),

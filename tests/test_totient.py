@@ -67,6 +67,20 @@ class TestSieveCrossCheck:
             assert np.array_equal(t.phi, ref_phi[: limit + 1]), limit
             assert totient_moments(t, [limit])[0][0] == ref_prefix[limit], limit
 
+    def test_pure_sieve_every_limit_to_2000(self):
+        # the presieve of every point query up to m = 2^24, and its moments
+        ref_phi, _ = reference_table(2000)
+        ref = ref_phi.tolist()
+        for limit in range(2001):
+            assert totient._phi_list(limit) == ref[: limit + 1], limit
+        # the reference sieve shares the pure sieve's per-prime update, so
+        # check it by the gcd count too
+        assert ref[:301] == [0] + [phi_by_definition(k) for k in range(1, 301)]
+        ref_moments = reference_moments(ref_phi)
+        ms = [2, 3, 4, 5, 30, 31, 32, 1024, 1999, 2000]
+        assert list(totient._pure_stream(ms)) == [(m, ref_moments[m]) for m in ms]
+        assert list(totient._pure_stream([])) == []
+
     @pytest.mark.parametrize("row, rows", [(7, 4), (64, 1)], ids=["7", "64"])
     def test_small_blocks(self, monkeypatch, row, rows):
         # shrink the chain of sizes to rows of 7 or 64 entries and batches
@@ -369,8 +383,8 @@ class TestStreamAgainstReference:
 
     @pytest.mark.parametrize("i", [2**18, 2**18 + 1, 4_244_361, 4_244_362])
     def test_point_queries_equal_the_stream_row(self, i):
-        # either side of the presieve rule's breakpoints: below 2^18 the
-        # point queries walk a sieve to i, above 4,244,361 the presieve grows
+        # either side of the presieve rule's old switches: a sieve to i up
+        # to 2^18, then a presieve of 2^18 up to 4,244,361
         ((m, phi_sum, ep, er),) = iter_error_terms(i, every=i)
         assert m == i
         assert summatory_phi(i) == phi_sum

@@ -11,8 +11,9 @@ only.  ``python3 tools/cmp_cli.py src`` compares the checkout with itself,
 so every run must give the same bytes twice.
 
 ARGVS covers the benchmark-sized calls, every subcommand on small
-inputs, the forced oracle past its cap, counts either side of m = 2^10,
-the largest m answered without a sieve, error-term and scan rows read
+inputs, the forced oracle past its cap, counts either side of each
+switch the presieve rule has had (m = 2^10, 2^18 and 4,244,361) and at
+the top of the grid, error-term and scan rows read
 across many sieve blocks, every error-term row to just below and just
 past the end of the first 2^16-entry block, a scan of 2 10^5 consecutive
 rows, an error-term stream with no row, and every error path: bad and
@@ -79,11 +80,18 @@ ARGVS = [
     "threshold --n 1",
     "threshold --n 12",
     "threshold --n 1000",
-    # either side of m = 2^10, the largest m answered without a sieve
+    # either side of the switches the presieve rule has had: the recursion
+    # alone up to m = 2^10, a sieve to m up to 2^18, a 2^18 presieve up to
+    # 4,244,361; and the top of the grid
     "fq --n 1025 --q 1",
     "fq --n 1026 --q 1",
     "counts --n 2050 --q 2",
     "threshold --n 1025",
+    "fq --n 262145 --q 1",
+    "fq --n 262146 --q 1",
+    "fq --n 4244362 --q 1",
+    "fq --n 4244363 --q 1",
+    "threshold --n 10000000",
     # rows read across many sieve blocks, up to the 2^20-entry blocks at 10^8
     "errterms --m-max 2000000 --every 99991",
     "scan --q 1 --n-start 1 --n-end 2000000 --step 65521",
